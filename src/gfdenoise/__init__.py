@@ -42,6 +42,7 @@ from .spectral import (
     gft,
     ideal_lowpass_response,
     igft,
+    lowest_eigenpairs,
     normalized_laplacian,
     step_response,
 )

@@ -203,17 +203,24 @@ def build_run_config(mode: str, file_settings: dict, overrides: dict) -> RunConf
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """Exact effective configuration, suitable for byte-identical re-runs."""
+    """Exact effective configuration, suitable for byte-identical re-runs.
+
+    A single few-shot run echoes knn_k, k1 and k2 clipped to its support
+    class size, as the filter applies them.
+    """
+    denoise = cfg.denoise
+    if cfg.mode == "eval-fewshot" and cfg.m_values is None:
+        denoise = denoise.for_class_size(cfg.episode.m_shot)
     echo = {
         "mode": cfg.mode,
         "seed": cfg.seed,
         "iterations": cfg.iterations,
         "denoise": {
-            "knn_k": cfg.denoise.knn_k,
-            "k1": cfg.denoise.k1,
-            "k2": cfg.denoise.k2,
-            "mid_gain": cfg.denoise.mid_gain,
-            "graph_kind": cfg.denoise.graph_kind,
+            "knn_k": denoise.knn_k,
+            "k1": denoise.k1,
+            "k2": denoise.k2,
+            "mid_gain": denoise.mid_gain,
+            "graph_kind": denoise.graph_kind,
         },
         "classifier": {"kind": cfg.classifier.kind, "metric": cfg.classifier.metric},
         "io": {

@@ -76,6 +76,16 @@ class InconsistentDimension(ParseError):
         super().__init__(line, message or f"inconsistent dimension at line {line}")
 
 
+class NonFiniteValue(GfdError):
+    """A feature file holds a NaN or infinite value."""
+
+    def __init__(self, row: int, line: int | None = None):
+        self.row = row
+        self.line = line
+        where = f"line {line}" if line is not None else f"feature row {row}"
+        super().__init__(f"{where}: non-finite feature value")
+
+
 class BadMagic(GfdError):
     """A binary feature file does not start with the expected magic."""
 

@@ -13,26 +13,39 @@ Binary format (all integers little-endian):
     28      n*width   labels, ASCII zero-padded to label_width
     ...     n*d*8     features, IEEE-754 float64, row-major
 
+Both loaders reject NaN and infinite feature values.
+
 Reports are JSON documents; emit_report/load_report round-trip floats
 exactly.
 """
 
 import json
 import struct
+from array import array
 
 import numpy as np
 
 from .data import LabeledFeatures
-from .errors import BadMagic, InconsistentDimension, ParseError, TruncatedFile
+from .errors import BadMagic, InconsistentDimension, NonFiniteValue, ParseError, TruncatedFile
 
 MAGIC = b"GFDENSE1"
 _HEADER = struct.Struct("<8sQQI")
 
 
+def _check_finite(features: np.ndarray, linenos: array | None = None) -> None:
+    """Raise NonFiniteValue naming the first row (or its line) holding a
+    NaN or infinity."""
+    # min and max are NaN or infinite exactly when some value is, and
+    # unlike np.isfinite they allocate no array the size of the input.
+    if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        row = int(np.argmin(np.isfinite(features).all(axis=1)))
+        raise NonFiniteValue(row, None if linenos is None else linenos[row])
+
+
 def load_features_text(path) -> LabeledFeatures:
     """Parse a comma-separated feature file; row order is preserved and
     labels stay opaque strings."""
-    labels, rows, dim = [], [], None
+    labels, rows, linenos, dim = [], [], array("q"), None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -53,9 +66,12 @@ def load_features_text(path) -> LabeledFeatures:
                 )
             labels.append(parts[0])
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise ParseError(0, "no data lines in file")
-    return LabeledFeatures(features=np.asarray(rows), labels=np.asarray(labels))
+    features = np.asarray(rows)
+    _check_finite(features, linenos)
+    return LabeledFeatures(features=features, labels=np.asarray(labels))
 
 
 def save_features_text(path, data: LabeledFeatures) -> None:
@@ -100,6 +116,7 @@ def load_features_binary(path) -> LabeledFeatures:
         for i in range(n)
     ]
     features = np.frombuffer(payload, dtype="<f8").reshape(n, d).copy()
+    _check_finite(features)
     return LabeledFeatures(features=features, labels=np.asarray(labels))
 
 

@@ -32,22 +32,33 @@ def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
 
     Ties are broken toward lower column index. Kept entries may be
     negative; clamp_negative_edges prepares such a matrix for Laplacian
-    construction.
+    construction. Off-diagonal entries must be finite.
     """
     S = np.asarray(S, dtype=np.float64)
     n = S.shape[0]
     if not 1 <= k < n:
         raise InvalidK(f"need 1 <= k < n, got k={k} n={n}")
+    if k == n - 1:  # every off-diagonal entry is among its row's k largest
+        W = S.copy()
+        np.fill_diagonal(W, 0.0)
+        return W
+    # Row i keeps every entry above its k-th largest off-diagonal value t_i
+    # and, of the entries equal to t_i, the lowest-column ones up to k.
     ranked = S.copy()
     np.fill_diagonal(ranked, -np.inf)
-    # argsort of the negated matrix: descending value, ties by lower column.
-    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k]
-    keep = np.zeros((n, n), dtype=bool)
-    keep[np.repeat(np.arange(n), k), order.ravel()] = True
+    ranked.partition(n - k, axis=1)
+    threshold = ranked[:, n - k, None].copy()
+    del ranked
+    keep = S >= threshold
+    np.fill_diagonal(keep, False)
+    surplus = np.flatnonzero(keep.sum(axis=1) > k)
+    if surplus.size:
+        rows = keep[surplus]
+        tied = rows & (S[surplus] == threshold[surplus])
+        room = k - rows.sum(axis=1) + tied.sum(axis=1)
+        keep[surplus] = rows & (~tied | (np.cumsum(tied, axis=1) <= room[:, None]))
     keep |= keep.T
-    W = np.where(keep, S, 0.0)
-    np.fill_diagonal(W, 0.0)
-    return W
+    return np.where(keep, S, 0.0)
 
 
 def complete_graph(m: int) -> np.ndarray:

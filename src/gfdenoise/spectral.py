@@ -19,14 +19,14 @@ PSD_FLOOR = -1e-9
 @dataclass(frozen=True)
 class SpectralBasis:
     """Orthonormal eigenvectors (columns) and ascending eigenvalues of a
-    symmetric matrix."""
+    symmetric n x n matrix: all n eigenpairs, or only the lowest k."""
 
-    eigenvectors: np.ndarray  # (n, n)
-    eigenvalues: np.ndarray   # (n,), ascending
+    eigenvectors: np.ndarray  # (n, n) or (n, k)
+    eigenvalues: np.ndarray   # (n,) or (k,), ascending
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvectors.shape[0]
 
 
 def _check_adjacency(W: np.ndarray) -> np.ndarray:
@@ -79,12 +79,65 @@ def eigendecompose(L: np.ndarray) -> SpectralBasis:
         lam, U = np.linalg.eigh(L)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    lam = lam.copy()
+    return _conventional_basis(lam.copy(), U)
+
+
+def _conventional_basis(lam: np.ndarray, U: np.ndarray) -> SpectralBasis:
+    """Clamp eigenvalues above the PSD floor to 0 and make each
+    eigenvector's entry of largest magnitude nonnegative, in place."""
     lam[(lam < 0.0) & (lam > PSD_FLOOR)] = 0.0
     anchor = np.argmax(np.abs(U), axis=0)
     flip = U[anchor, np.arange(U.shape[1])] < 0.0
     U[:, flip] = -U[:, flip]
     return SpectralBasis(eigenvectors=U, eigenvalues=lam)
+
+
+def lowest_eigenpairs(W: np.ndarray, k: int) -> SpectralBasis | None:
+    """The k lowest eigenpairs of W's normalized Laplacian, or None when
+    W's graph has more than one connected component or Lanczos fails.
+
+    Implicitly restarted Lanczos (ARPACK) finds the k largest eigenvalues
+    mu of the sparse normalized adjacency D^{-1/2} W D^{-1/2}; the
+    Laplacian's are lambda = 1 - mu. W is checked like normalized_laplacian
+    checks it, with the same errors, and the basis follows eigendecompose's
+    conventions. A disconnected graph repeats eigenvalue 0, and
+    single-vector Lanczos cannot return every vector of a repeated
+    eigenvalue, so such a graph is left to eigendecompose, as is a graph
+    on which ARPACK does not converge.
+    """
+    # Imported here: scipy.sparse.linalg costs a quarter second at start-up.
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise DimensionMismatch(f"adjacency must be square, got shape {W.shape}")
+    n = W.shape[0]
+    if not 1 <= k < n:
+        raise InvalidRange(f"need 1 <= k < n, got k={k} n={n}")
+    A = sparse.csr_array(W)
+    if not abs(A - A.T).max() <= 1e-12:  # written so that NaN fails too
+        raise ValueError("adjacency must be symmetric")
+    if np.any(A.diagonal() != 0.0):
+        raise ValueError("adjacency must have a zero diagonal")
+    if A.nnz and A.data.min() < 0.0:
+        raise ValueError("adjacency weights must be nonnegative")
+    deg = A.sum(axis=1)
+    zero = np.flatnonzero(deg == 0.0)
+    if zero.size:
+        raise IsolatedVertex(int(zero[0]))
+    if connected_components(A, directed=False, return_labels=False) > 1:
+        return None
+    dinv = sparse.diags_array(1.0 / np.sqrt(deg))
+    # A fixed start vector keeps the result deterministic; a pseudo-random
+    # one is not orthogonal to eigenvectors that a graph symmetry makes odd.
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+    try:
+        mu, U = eigsh(dinv @ A @ dinv, k=k, which="LA", v0=v0, tol=0)
+    except ArpackError:  # includes ArpackNoConvergence
+        return None
+    return _conventional_basis(1.0 - mu[::-1], U[:, ::-1])
 
 
 def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
@@ -98,21 +151,26 @@ def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
 def igft(basis: SpectralBasis, xhat: np.ndarray) -> np.ndarray:
     """Reconstruct a vertex signal from its spectrum (U xhat)."""
     xhat = np.asarray(xhat, dtype=np.float64)
-    if xhat.shape[0] != basis.n:
-        raise DimensionMismatch(f"spectrum length {xhat.shape[0]} != basis size {basis.n}")
+    if xhat.shape[0] != basis.eigenvalues.size:
+        raise DimensionMismatch(
+            f"spectrum length {xhat.shape[0]} != basis size {basis.eigenvalues.size}"
+        )
     return basis.eigenvectors @ xhat
 
 
 def apply_filter(basis: SpectralBasis, gains: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Apply the diagonal spectral filter U diag(gains) U^T to F.
+    """Apply the diagonal spectral filter U diag(gains) U^T to F, one gain
+    per eigenpair of the basis.
 
     F may be a length-n signal or an n x d matrix; columns are filtered
     independently.
     """
     gains = np.asarray(gains, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
-    if gains.shape[0] != basis.n:
-        raise DimensionMismatch(f"gain length {gains.shape[0]} != basis size {basis.n}")
+    if gains.shape[0] != basis.eigenvalues.size:
+        raise DimensionMismatch(
+            f"gain length {gains.shape[0]} != basis size {basis.eigenvalues.size}"
+        )
     if F.shape[0] != basis.n:
         raise DimensionMismatch(f"signal rows {F.shape[0]} != basis size {basis.n}")
     spectrum = basis.eigenvectors.T @ F

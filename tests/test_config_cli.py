@@ -1,8 +1,13 @@
 """Configuration precedence and CLI behavior tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gfdenoise
 from gfdenoise.cli import run_cli
 from gfdenoise.config import build_run_config, parse_config_file
 from gfdenoise.data import make_gaussian_pool
@@ -123,6 +128,13 @@ class TestCliDenoise:
         assert code == 0
         assert load_features_binary(dst).n == pool.n
 
+    def test_non_finite_input_is_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("a,1,2\na,2,1\na,1,1\nb,0,1\nb,nan,2\nb,3,3\n")
+        code = run_cli(["denoise", "--in", str(src), "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "line 5: non-finite feature value" in capsys.readouterr().err
+
     def test_missing_paths_is_config_error(self):
         assert run_cli(["denoise", "--k1", "1"]) == 2
 
@@ -155,6 +167,16 @@ class TestCliEval:
         assert report["without_filter"]["iterations"] == 25
         assert report["config"]["episode"]["m_shot"] == 3
         assert "paired_delta" in report
+
+    def test_fewshot_echo_is_clipped_to_support_size(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "eval-fewshot", "--m-shot", "2", "--n-way", "3", "--q-query", "4",
+            "--iterations", "5", "--seed", "5", "--out", str(out),
+        ])
+        assert code == 0
+        denoise = load_report(out)["config"]["denoise"]
+        assert (denoise["knn_k"], denoise["k1"], denoise["k2"]) == (1, 1, 2)
 
     def test_fewshot_identity_filter_arms_match(self, tmp_path):
         out = tmp_path / "report.json"
@@ -218,3 +240,26 @@ class TestCliVerifyTheory:
         assert by_m[5]["monte_carlo"]["cov_trace_ratio"] == pytest.approx(0.2, rel=0.25)
         assert "deviation_note" in report
         assert by_m[5]["mean_factor_agrees"] is False
+
+
+def test_small_class_runs_do_not_import_scipy(tmp_path):
+    """scipy is imported only by the large-class Lanczos path, so runs on
+    small classes do not pay for importing it."""
+    src = tmp_path / "in.csv"
+    save_features_text(src, small_pool())
+    script = (
+        "import sys\n"
+        "from gfdenoise.cli import run_cli\n"
+        "codes = [\n"
+        "    run_cli(['eval-fewshot', '--iterations', '3', '--out', sys.argv[1]]),\n"
+        "    run_cli(['denoise', '--in', sys.argv[2], '--out', sys.argv[1]]),\n"
+        "    run_cli(['verify-theory', '--iterations', '3', '--out', sys.argv[1]]),\n"
+        "]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(src)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "[0, 0, 0] []", proc.stderr

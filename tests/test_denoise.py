@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import gfdenoise.denoise
 from gfdenoise.data import LabeledFeatures
 from gfdenoise.denoise import DenoiseConfig, SmallClassWarning, denoise_class, denoise_dataset
 from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange
+from gfdenoise.graphs import class_graph
+from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
 def gaussian_class(rng, m, d, mu=0.0):
@@ -86,6 +89,84 @@ class TestDenoiseClass:
         perm = rng.permutation(6)
         out[perm] = denoise_class(F[perm], cfg)
         np.testing.assert_allclose(out, denoise_class(F, cfg), atol=1e-9)
+
+
+def dense_reference(F, cfg):
+    """denoise_class through a full dense eigendecomposition."""
+    eff = cfg.for_class_size(F.shape[0])
+    basis = eigendecompose(normalized_laplacian(class_graph(F, eff.graph_kind, eff.knn_k)))
+    return apply_filter(basis, step_response(eff.k1, eff.k2, eff.mid_gain, F.shape[0]), F), basis
+
+
+@pytest.fixture()
+def solver_calls(monkeypatch):
+    """Record which eigensolver denoise_class used."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            result = fn(*args)
+            calls.append((name, result is not None))
+            return result
+        monkeypatch.setattr(gfdenoise.denoise, name, wrapped)
+
+    spy("eigendecompose", gfdenoise.denoise.eigendecompose)
+    spy("lowest_eigenpairs", gfdenoise.denoise.lowest_eigenpairs)
+    return calls
+
+
+class TestSolverPaths:
+    CFG = DenoiseConfig(knn_k=10, k1=10, k2=40, mid_gain=0.6)
+
+    def test_large_connected_class_matches_dense(self, solver_calls):
+        F = gaussian_class(np.random.default_rng(30), 800, 32, mu=0.3)
+        expected, basis = dense_reference(F, self.CFG)
+        gaps = np.diff(basis.eigenvalues)[[self.CFG.k1 - 1, self.CFG.k2 - 1]]
+        assert np.all(gaps > 1e-4), "test needs cuts between distinct eigenvalues"
+        solver_calls.clear()
+        out = denoise_class(F, self.CFG)
+        assert solver_calls == [("lowest_eigenpairs", True)]
+        assert np.max(np.abs(out - expected)) <= 1e-9
+
+    def test_large_disconnected_class_takes_dense_path(self, solver_calls):
+        # Two tight clusters along orthogonal directions: every row's 10
+        # nearest neighbors lie in its own cluster, so no edge crosses.
+        rng = np.random.default_rng(31)
+        F = 0.05 * rng.standard_normal((800, 16))
+        F[:400, 0] += 1.0
+        F[400:, 1] += 1.0
+        expected, basis = dense_reference(F, self.CFG)
+        assert np.count_nonzero(basis.eigenvalues < 1e-9) == 2
+        solver_calls.clear()
+        out = denoise_class(F, self.CFG)
+        assert solver_calls == [("lowest_eigenpairs", False), ("eigendecompose", True)]
+        assert np.array_equal(out, expected)
+
+    def test_lanczos_failure_falls_back_to_dense(self, solver_calls, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        F = gaussian_class(np.random.default_rng(33), 800, 8, mu=0.3)
+        out = denoise_class(F, self.CFG)
+        assert solver_calls == [("lowest_eigenpairs", False), ("eigendecompose", True)]
+        assert np.array_equal(out, dense_reference(F, self.CFG)[0])
+
+    @pytest.mark.parametrize(
+        "m,cfg",
+        [
+            (511, CFG),  # below the row threshold
+            (800, DenoiseConfig(knn_k=10, k1=10, k2=51)),  # k2 above m / 16
+            (600, DenoiseConfig(k1=1, k2=4, graph_kind="complete")),
+        ],
+    )
+    def test_other_classes_take_dense_path(self, solver_calls, m, cfg):
+        F = gaussian_class(np.random.default_rng(32), m, 8, mu=0.3)
+        out = denoise_class(F, cfg)
+        assert solver_calls == [("eigendecompose", True)]
+        assert np.array_equal(out, dense_reference(F, cfg)[0])
 
 
 class TestDenoiseDataset:

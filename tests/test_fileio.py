@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from gfdenoise.data import LabeledFeatures
-from gfdenoise.errors import BadMagic, InconsistentDimension, ParseError, TruncatedFile
+from gfdenoise.errors import (
+    BadMagic,
+    GfdError,
+    InconsistentDimension,
+    NonFiniteValue,
+    ParseError,
+    TruncatedFile,
+)
 from gfdenoise.fileio import (
     MAGIC,
     emit_report,
@@ -53,6 +60,16 @@ class TestTextFormat:
         path.write_text("a,1.0,oops\n")
         with pytest.raises(ParseError):
             load_features_text(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# header\na,1.0,2.0\n\nb,3.0,{token}\nc,5.0,6.0\n")
+        with pytest.raises(NonFiniteValue) as exc:
+            load_features_text(path)
+        assert isinstance(exc.value, GfdError)
+        assert exc.value.line == 4 and exc.value.row == 1
+        assert "line 4" in str(exc.value)
 
     def test_round_trip_is_float_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -110,6 +127,18 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(TruncatedFile):
             load_features_binary(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_row(self, tmp_path, value):
+        features = np.arange(12.0).reshape(4, 3)
+        features[2, 1] = value
+        features[3, 0] = value
+        path = tmp_path / "bad.bin"
+        save_features_binary(path, LabeledFeatures(features, ["a", "b", "c", "d"]))
+        with pytest.raises(NonFiniteValue) as exc:
+            load_features_binary(path)
+        assert exc.value.row == 2 and exc.value.line is None
+        assert "row 2" in str(exc.value)
 
     def test_matches_text_loader_contents(self, tmp_path):
         rng = np.random.default_rng(2)

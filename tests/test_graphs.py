@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfdenoise.errors import InvalidK, InvalidSize, ZeroVector
 from gfdenoise.graphs import (
@@ -23,6 +25,33 @@ def brute_force_knn_mask(S: np.ndarray, k: int) -> np.ndarray:
         for j in candidates[:k]:
             row_keep[i, j] = True
     return row_keep | row_keep.T
+
+
+def argsort_knn(S: np.ndarray, k: int) -> np.ndarray:
+    """Reference kNN by a full stable argsort of each row."""
+    n = S.shape[0]
+    ranked = S.copy()
+    np.fill_diagonal(ranked, -np.inf)
+    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k]
+    keep = np.zeros((n, n), dtype=bool)
+    keep[np.repeat(np.arange(n), k), order.ravel()] = True
+    keep |= keep.T
+    W = np.where(keep, S, 0.0)
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+@st.composite
+def tied_symmetric_matrices(draw):
+    """Symmetric matrices over a few values, so rows are full of ties."""
+    n = draw(st.integers(2, 60))
+    values = draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+                           min_size=1, max_size=4, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    V = np.random.default_rng(seed).choice(values, size=(n, n))
+    S = np.where(np.arange(n)[:, None] < np.arange(n), V, V.T)  # keeps -0.0
+    np.fill_diagonal(S, draw(st.sampled_from([0.0, 1.0])))
+    return S
 
 
 class TestCosineSimilarity:
@@ -108,6 +137,15 @@ class TestKnnSparsify:
             k = int(rng.integers(1, n))
             mask = brute_force_knn_mask(S, k)
             np.testing.assert_allclose(knn_sparsify(S, k), np.where(mask, S, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_symmetric_matrices())
+    def test_matches_stable_argsort_with_ties(self, S):
+        for k in range(1, S.shape[0]):
+            W = knn_sparsify(S, k)
+            ref = argsort_knn(S, k)
+            assert np.array_equal(W, ref), k
+            assert np.array_equal(np.signbit(W), np.signbit(ref)), k
 
     def test_every_vertex_keeps_an_edge(self):
         rng = np.random.default_rng(18)

@@ -16,6 +16,7 @@ from gfdenoise.spectral import (
     gft,
     ideal_lowpass_response,
     igft,
+    lowest_eigenpairs,
     normalized_laplacian,
     step_response,
 )
@@ -114,6 +115,75 @@ class TestEigendecompose:
         cols = np.arange(3)
         anchor = np.argmax(np.abs(basis.eigenvectors), axis=0)
         assert np.all(basis.eigenvectors[anchor, cols] >= 0.0)
+
+
+def invalid_adjacencies():
+    """One matrix per check that normalized_laplacian makes."""
+    W = random_knn_graph(np.random.default_rng(9), 12)
+    asym = W.copy()
+    asym[0, np.flatnonzero(W[0])[0]] += 1e-9
+    loop = W.copy()
+    loop[3, 3] = 0.5
+    negative = W.copy()
+    j = np.flatnonzero(W[1])[0]
+    negative[1, j] = negative[j, 1] = -0.25
+    isolated = W.copy()
+    isolated[4, :] = isolated[:, 4] = 0.0
+    nan = W.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    return [
+        pytest.param(W[:, :-1], DimensionMismatch, id="not-square"),
+        pytest.param(asym, ValueError, id="asymmetric"),
+        pytest.param(loop, ValueError, id="self-loop"),
+        pytest.param(negative, ValueError, id="negative"),
+        pytest.param(isolated, IsolatedVertex, id="isolated"),
+        pytest.param(nan, ValueError, id="nan"),
+    ]
+
+
+class TestLowestEigenpairs:
+    def test_matches_lowest_dense_eigenpairs(self):
+        rng = np.random.default_rng(12)
+        W = clamp_negative_edges(knn_sparsify(cosine_similarity(rng.standard_normal((80, 6))), 6))
+        dense = eigendecompose(normalized_laplacian(W))
+        basis = lowest_eigenpairs(W, 7)
+        assert basis.n == 80 and basis.eigenvectors.shape == (80, 7)
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:7], atol=1e-10)
+        # Same sign convention, so simple eigenvectors agree as vectors.
+        np.testing.assert_allclose(basis.eigenvectors, dense.eigenvectors[:, :7], atol=1e-8)
+
+    def test_disconnected_graph_is_declined(self):
+        W = np.zeros((6, 6))
+        W[0, 1] = W[1, 0] = W[1, 2] = W[2, 1] = 1.0
+        W[3, 4] = W[4, 3] = W[4, 5] = W[5, 4] = 1.0
+        assert lowest_eigenpairs(W, 2) is None
+
+    def test_invalid_k(self):
+        with pytest.raises(InvalidRange):
+            lowest_eigenpairs(PATH3, 3)
+        with pytest.raises(InvalidRange):
+            lowest_eigenpairs(PATH3, 0)
+
+    @pytest.mark.parametrize("W,error", invalid_adjacencies())
+    def test_same_errors_as_dense_path(self, W, error):
+        with pytest.raises(error) as dense:
+            normalized_laplacian(W)
+        with pytest.raises(error) as partial:
+            lowest_eigenpairs(W, 2)
+        assert type(partial.value) is type(dense.value)
+        assert str(partial.value) == str(dense.value)
+
+    def test_partial_basis_filters_with_one_gain_per_pair(self):
+        rng = np.random.default_rng(13)
+        W = random_knn_graph(rng, 30)
+        basis = lowest_eigenpairs(W, 3)
+        F = rng.standard_normal((30, 2))
+        with pytest.raises(DimensionMismatch):
+            apply_filter(basis, np.ones(30), F)
+        np.testing.assert_allclose(
+            apply_filter(basis, np.ones(3), F),
+            basis.eigenvectors @ (basis.eigenvectors.T @ F),
+        )
 
 
 class TestGftRoundTrip:
