@@ -6,15 +6,17 @@ go to stderr; reports go to the --out path (or stdout when omitted).
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import centroids
-from .classify import ncm_fit, ncm_predict, nn1_predict
+# Unused here, but perfbench/layertrace.py traces these names in this module.
+from .classify import ncm_fit, ncm_predict, nn1_predict  # noqa: F401
 from .config import RunConfig, build_run_config, config_echo, parse_config_file
 from .data import LabeledFeatures, make_gaussian_pool, stratified_split
 from .denoise import denoise_dataset
-from .episodes import confidence_interval, paired_accuracies, sweep_shots
+from .episodes import classify_episode, paired_accuracies, paired_report, per_m_seeds
 from .errors import ConfigError, GfdError
 from .fileio import emit_report, load_features, report_text, save_features
 
@@ -93,18 +95,6 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         print(report_text(report))
 
 
-def _arm_dict(accuracies: np.ndarray) -> dict:
-    if accuracies.size >= 2:
-        mean, hw = confidence_interval(accuracies)
-    else:
-        mean, hw = float(accuracies[0]), 0.0
-    return {
-        "mean_accuracy": mean,
-        "ci95_halfwidth": hw,
-        "iterations": int(accuracies.size),
-    }
-
-
 def _cmd_denoise(cfg: RunConfig) -> None:
     if cfg.input_path is None or cfg.output_path is None:
         raise ConfigError("denoise requires --in and --out")
@@ -115,45 +105,20 @@ def _cmd_denoise(cfg: RunConfig) -> None:
 def _cmd_eval_fewshot(cfg: RunConfig) -> None:
     pool = _load_pool(cfg)
     report = {"mode": cfg.mode, "config": config_echo(cfg)}
-    if cfg.m_values is not None:
-        results = []
-        for (without, with_) in sweep_shots(
-            pool, cfg.episode, cfg.m_values, cfg.denoise, cfg.classifier,
-            cfg.iterations, cfg.seed,
-        ):
-            results.append({
-                "m_shot": without.config_echo["episode"]["m_shot"],
-                "without_filter": {
-                    "mean_accuracy": without.mean_accuracy,
-                    "ci95_halfwidth": without.ci95_halfwidth,
-                    "iterations": without.iterations,
-                },
-                "with_filter": {
-                    "mean_accuracy": with_.mean_accuracy,
-                    "ci95_halfwidth": with_.ci95_halfwidth,
-                    "iterations": with_.iterations,
-                },
-            })
-        report["results"] = results
-    else:
-        acc_raw, acc_filt = paired_accuracies(
-            pool, cfg.episode, cfg.denoise, cfg.classifier, cfg.iterations, cfg.seed
+
+    def paired(spec, seed):
+        return paired_report(
+            *paired_accuracies(pool, spec, cfg.denoise, cfg.classifier, cfg.iterations, seed)
         )
-        delta = acc_filt - acc_raw
-        report["without_filter"] = _arm_dict(acc_raw)
-        report["with_filter"] = _arm_dict(acc_filt)
-        if delta.size >= 2:
-            d_mean, d_hw = confidence_interval(delta)
-        else:
-            d_mean, d_hw = float(delta[0]), 0.0
-        report["paired_delta"] = {"mean": d_mean, "ci95_halfwidth": d_hw}
+
+    if cfg.m_values is not None:
+        report["results"] = [
+            {"m_shot": m, **paired(replace(cfg.episode, m_shot=m), m_seed)}
+            for m, m_seed in zip(cfg.m_values, per_m_seeds(cfg.seed, cfg.m_values))
+        ]
+    else:
+        report.update(paired(cfg.episode, cfg.seed))
     _emit(cfg, report)
-
-
-def _classify(train: LabeledFeatures, query: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    if cfg.classifier.kind == "ncm":
-        return ncm_predict(ncm_fit(train, cfg.classifier.metric), query)
-    return nn1_predict(train, query, cfg.classifier.metric)
 
 
 def _cmd_eval_standard(cfg: RunConfig) -> None:
@@ -163,8 +128,10 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
     else:
         train, test = stratified_split(data, test_fraction=0.2, seed=cfg.seed)
     filtered_train = denoise_dataset(train, cfg.denoise)
-    acc_raw = float(np.mean(_classify(train, test.features, cfg) == test.labels))
-    acc_filt = float(np.mean(_classify(filtered_train, test.features, cfg) == test.labels))
+    acc_raw, acc_filt = (
+        float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))
+        for rows in (train, filtered_train)
+    )
     report = {
         "mode": cfg.mode,
         "config": config_echo(cfg),
@@ -179,8 +146,7 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
 
 def _cmd_verify_theory(cfg: RunConfig) -> None:
     results = []
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(max(len(cfg.theory.m_values), 1))
-    for m, m_seed in zip(cfg.theory.m_values, seeds):
+    for m, m_seed in zip(cfg.theory.m_values, per_m_seeds(cfg.seed, cfg.theory.m_values)):
         spec = centroids.GaussianClassSpec(
             mu=np.full(cfg.theory.d, cfg.theory.mu),
             sigma=cfg.theory.sigma,
@@ -192,7 +158,7 @@ def _cmd_verify_theory(cfg: RunConfig) -> None:
             graph_kind=cfg.denoise.graph_kind,
             k=cfg.theory.k,
             trials=cfg.iterations,
-            seed=int(m_seed),
+            seed=m_seed,
         )
         mean_factor, cov_factor = centroids.analytic_centroid_factors(int(m))
         raw_norm_sq = float(np.dot(raw.mean_est, raw.mean_est))

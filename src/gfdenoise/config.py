@@ -1,46 +1,19 @@
 """Run configuration: defaults, flat `key = value` config files, and CLI
-override precedence (flag > config file > built-in default)."""
+override precedence (flag > config file > built-in default).
 
-from dataclasses import dataclass, field
+Built-in defaults are the field defaults of the config dataclasses, with
+the per-mode overrides of `_MODE_DEFAULTS` on top."""
+
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_args
 
 from .denoise import DenoiseConfig
 from .episodes import ClassifierConfig, EpisodeSpec
-from .errors import ConfigError
+from .errors import ConfigError, GfdError
 
 MODES = ("denoise", "eval-fewshot", "eval-standard", "verify-theory")
 
-# Built-in defaults, overridden per mode below. Keys mirror the config
-# file's section.key form.
-_BASE_DEFAULTS = {
-    "seed": "0",
-    "iterations": "2000",
-    "denoise.knn_k": "10",
-    "denoise.k1": "1",
-    "denoise.k2": "4",
-    "denoise.mid_gain": "0.6",
-    "denoise.graph": "knn",
-    "episode.n_way": "5",
-    "episode.m_shot": "5",
-    "episode.q_query": "15",
-    "episode.m_values": None,
-    "classifier.kind": "ncm",
-    "classifier.metric": "cosine",
-    "io.input": None,
-    "io.output": None,
-    "io.test": None,
-    "io.format": "text",
-    "pool.classes": "20",
-    "pool.per_class": "100",
-    "pool.dim": "64",
-    "pool.separation": "4.0",
-    "pool.sigma": "1.0",
-    "theory.m_values": "5,20,100",
-    "theory.d": "8",
-    "theory.sigma": "1.0",
-    "theory.mu": "1.0",
-    "theory.k": "1",
-}
-
+# Per-mode overrides of the dataclass defaults, as config-file values.
 _MODE_DEFAULTS = {
     "eval-standard": {
         "classifier.kind": "nn1",
@@ -129,77 +102,76 @@ def _to_int_list(key: str, value: str) -> tuple[int, ...]:
     return tuple(_to_int(key, part.strip()) for part in value.split(","))
 
 
-def effective_settings(mode: str, file_settings: dict, overrides: dict) -> dict:
-    """Merge defaults, config-file values, and CLI overrides (highest
-    precedence last). Unknown config-file keys are rejected."""
-    settings = dict(_BASE_DEFAULTS)
-    settings.update(_MODE_DEFAULTS.get(mode, {}))
-    for key, value in file_settings.items():
-        if key not in settings:
-            raise ConfigError(f"unknown config key {key!r}")
-        settings[key] = value
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = str(value)
-    return settings
+# Parsers by field type; a `T | None` field parses as T, and a str field
+# keeps the text.
+_PARSERS = {int: _to_int, float: _to_float, tuple[int, ...]: _to_int_list}
+
+
+def _parse(key: str, value: str, field_type):
+    for option in (field_type, *get_args(field_type)):
+        if option in _PARSERS:
+            return _PARSERS[option](key, value)
+    return value
+
+
+# Config-file section -> the dataclass of the RunConfig field of that name.
+_SECTIONS = {
+    "denoise": DenoiseConfig,
+    "episode": EpisodeSpec,
+    "classifier": ClassifierConfig,
+    "theory": TheoryConfig,
+    "pool": PoolConfig,
+}
+# Config keys that are not `section.field` or, for RunConfig's own fields,
+# the bare field name.
+_RENAMED = {
+    "denoise.graph_kind": "denoise.graph",
+    "input_path": "io.input",
+    "output_path": "io.output",
+    "test_path": "io.test",
+    "fmt": "io.format",
+    "m_values": "episode.m_values",
+}
+
+
+def _config_keys() -> dict:
+    own = [(None, f.name, f) for f in fields(RunConfig) if f.name not in ("mode", *_SECTIONS)]
+    nested = [
+        (section, f"{section}.{f.name}", f)
+        for section, cls in _SECTIONS.items()
+        for f in fields(cls)
+    ]
+    return {_RENAMED.get(name, name): (section, f) for section, name, f in own + nested}
+
+
+# Accepted config key -> (section, or None for a RunConfig field; field).
+CONFIG_KEYS = _config_keys()
 
 
 def build_run_config(mode: str, file_settings: dict, overrides: dict) -> RunConfig:
+    """Dataclass defaults, then the mode's defaults, the config file and
+    the CLI overrides (highest precedence last). Unknown keys are
+    rejected."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    s = effective_settings(mode, file_settings, overrides)
+    settings = {**_MODE_DEFAULTS.get(mode, {}), **file_settings}
+    settings.update((key, str(value)) for key, value in overrides.items() if value is not None)
+    values = {section: {} for section in (None, *_SECTIONS)}
+    for key, value in settings.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        section, f = CONFIG_KEYS[key]
+        values[section][f.name] = _parse(key, value, f.type)
     try:
-        denoise = DenoiseConfig(
-            knn_k=_to_int("denoise.knn_k", s["denoise.knn_k"]),
-            k1=_to_int("denoise.k1", s["denoise.k1"]),
-            k2=_to_int("denoise.k2", s["denoise.k2"]),
-            mid_gain=_to_float("denoise.mid_gain", s["denoise.mid_gain"]),
-            graph_kind=s["denoise.graph"],
-        )
-        episode = EpisodeSpec(
-            n_way=_to_int("episode.n_way", s["episode.n_way"]),
-            m_shot=_to_int("episode.m_shot", s["episode.m_shot"]),
-            q_query=_to_int("episode.q_query", s["episode.q_query"]),
-        )
-        classifier = ClassifierConfig(kind=s["classifier.kind"], metric=s["classifier.metric"])
-        theory = TheoryConfig(
-            m_values=_to_int_list("theory.m_values", s["theory.m_values"]),
-            d=_to_int("theory.d", s["theory.d"]),
-            sigma=_to_float("theory.sigma", s["theory.sigma"]),
-            mu=_to_float("theory.mu", s["theory.mu"]),
-            k=_to_int("theory.k", s["theory.k"]),
-        )
-        pool = PoolConfig(
-            classes=_to_int("pool.classes", s["pool.classes"]),
-            per_class=_to_int("pool.per_class", s["pool.per_class"]),
-            dim=_to_int("pool.dim", s["pool.dim"]),
-            separation=_to_float("pool.separation", s["pool.separation"]),
-            sigma=_to_float("pool.sigma", s["pool.sigma"]),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:  # invalid ranges surfaced by the dataclasses
+        sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
+        cfg = RunConfig(mode=mode, **sections, **values[None])
+        for m in cfg.m_values or ():
+            replace(cfg.episode, m_shot=m)  # each sweep spec passes EpisodeSpec's checks
+    except GfdError as exc:  # invalid ranges surfaced by the dataclasses
         raise ConfigError(str(exc)) from exc
-    if s["io.format"] not in ("text", "bin"):
-        raise ConfigError(f"io.format must be text or bin, got {s['io.format']!r}")
-    m_values = None
-    if s["episode.m_values"] is not None:
-        m_values = _to_int_list("episode.m_values", s["episode.m_values"])
-    return RunConfig(
-        mode=mode,
-        denoise=denoise,
-        episode=episode,
-        classifier=classifier,
-        theory=theory,
-        pool=pool,
-        seed=_to_int("seed", s["seed"]),
-        iterations=_to_int("iterations", s["iterations"]),
-        input_path=s["io.input"],
-        output_path=s["io.output"],
-        test_path=s["io.test"],
-        fmt=s["io.format"],
-        m_values=m_values,
-    )
+    if cfg.fmt not in ("text", "bin"):
+        raise ConfigError(f"io.format must be text or bin, got {cfg.fmt!r}")
+    return cfg
 
 
 def config_echo(cfg: RunConfig) -> dict:
@@ -215,14 +187,8 @@ def config_echo(cfg: RunConfig) -> dict:
         "mode": cfg.mode,
         "seed": cfg.seed,
         "iterations": cfg.iterations,
-        "denoise": {
-            "knn_k": denoise.knn_k,
-            "k1": denoise.k1,
-            "k2": denoise.k2,
-            "mid_gain": denoise.mid_gain,
-            "graph_kind": denoise.graph_kind,
-        },
-        "classifier": {"kind": cfg.classifier.kind, "metric": cfg.classifier.metric},
+        "denoise": asdict(denoise),
+        "classifier": asdict(cfg.classifier),
         "io": {
             "input": cfg.input_path,
             "output": cfg.output_path,
@@ -230,28 +196,10 @@ def config_echo(cfg: RunConfig) -> dict:
             "format": cfg.fmt,
         },
     }
-    if cfg.mode in ("eval-fewshot",):
-        echo["episode"] = {
-            "n_way": cfg.episode.n_way,
-            "m_shot": cfg.episode.m_shot,
-            "q_query": cfg.episode.q_query,
-            "m_values": list(cfg.m_values) if cfg.m_values is not None else None,
-        }
+    if cfg.mode == "eval-fewshot":
+        echo["episode"] = {**asdict(cfg.episode), "m_values": cfg.m_values}
     if cfg.mode in ("eval-fewshot", "eval-standard") and cfg.input_path is None:
-        echo["pool"] = {
-            "classes": cfg.pool.classes,
-            "per_class": cfg.pool.per_class,
-            "dim": cfg.pool.dim,
-            "separation": cfg.pool.separation,
-            "sigma": cfg.pool.sigma,
-        }
+        echo["pool"] = asdict(cfg.pool)
     if cfg.mode == "verify-theory":
-        echo["theory"] = {
-            "m_values": list(cfg.theory.m_values),
-            "d": cfg.theory.d,
-            "sigma": cfg.theory.sigma,
-            "mu": cfg.theory.mu,
-            "k": cfg.theory.k,
-            "graph_kind": cfg.denoise.graph_kind,
-        }
+        echo["theory"] = {**asdict(cfg.theory), "graph_kind": cfg.denoise.graph_kind}
     return echo

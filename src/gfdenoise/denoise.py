@@ -88,7 +88,7 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     F_c = np.asarray(F_c, dtype=np.float64)
     m = F_c.shape[0]
     if m < 2:
-        raise ClassTooSmall(label="<anonymous>", message=f"need >= 2 samples, got {m}")
+        raise ClassTooSmall(f"need >= 2 samples, got {m}")
     eff = cfg.for_class_size(m)
     if eff.k1 == m:
         return F_c.copy()

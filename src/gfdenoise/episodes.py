@@ -7,7 +7,7 @@ effect of the support-set filter. Query rows are never filtered and never
 enter graph construction.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -142,35 +142,33 @@ def paired_accuracies(
     return acc_raw, acc_filt
 
 
-def _report(accuracies: np.ndarray, echo: dict) -> EvalReport:
-    if accuracies.size == 1:
-        mean, hw = float(accuracies[0]), 0.0
-    else:
-        mean, hw = confidence_interval(accuracies)
-    return EvalReport(
-        mean_accuracy=mean,
-        ci95_halfwidth=hw,
-        iterations=int(accuracies.size),
-        config_echo=echo,
-    )
+def _mean_halfwidth(values: np.ndarray) -> tuple[float, float]:
+    """confidence_interval, with a halfwidth of 0 for a single value."""
+    if values.size == 1:
+        return float(values[0]), 0.0
+    return confidence_interval(values)
 
 
-def _echo(spec, denoise_cfg, classifier_cfg, iterations, seed, arm) -> dict:
-    eff = denoise_cfg.for_class_size(spec.m_shot)
-    return {
-        "episode": {"n_way": spec.n_way, "m_shot": spec.m_shot, "q_query": spec.q_query},
-        "denoise": {
-            "knn_k": eff.knn_k,
-            "k1": eff.k1,
-            "k2": eff.k2,
-            "mid_gain": eff.mid_gain,
-            "graph_kind": eff.graph_kind,
-        },
-        "classifier": {"kind": classifier_cfg.kind, "metric": classifier_cfg.metric},
-        "iterations": iterations,
-        "seed": seed,
-        "arm": arm,
-    }
+def paired_report(acc_raw: np.ndarray, acc_filt: np.ndarray) -> dict:
+    """Both arms' mean accuracy and the paired with-minus-without delta,
+    each with its 95% halfwidth."""
+    report = {}
+    for arm, accuracies in (("without_filter", acc_raw), ("with_filter", acc_filt)):
+        mean, hw = _mean_halfwidth(accuracies)
+        report[arm] = {
+            "mean_accuracy": mean,
+            "ci95_halfwidth": hw,
+            "iterations": int(accuracies.size),
+        }
+    mean, hw = _mean_halfwidth(acc_filt - acc_raw)
+    report["paired_delta"] = {"mean": mean, "ci95_halfwidth": hw}
+    return report
+
+
+def per_m_seeds(seed: int, m_values) -> list[int]:
+    """One seed per shot count (or per class size), derived from the
+    master seed."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(len(m_values))]
 
 
 def run_fewshot_eval(
@@ -182,12 +180,19 @@ def run_fewshot_eval(
     seed: int,
 ) -> tuple[EvalReport, EvalReport]:
     """Aggregate paired episode accuracies into (without, with) reports."""
-    acc_raw, acc_filt = paired_accuracies(
-        pool, spec, denoise_cfg, classifier_cfg, iterations, seed
+    report = paired_report(
+        *paired_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, seed)
     )
-    return (
-        _report(acc_raw, _echo(spec, denoise_cfg, classifier_cfg, iterations, seed, "without_filter")),
-        _report(acc_filt, _echo(spec, denoise_cfg, classifier_cfg, iterations, seed, "with_filter")),
+    echo = {
+        "episode": asdict(spec),
+        "denoise": asdict(denoise_cfg.for_class_size(spec.m_shot)),
+        "classifier": asdict(classifier_cfg),
+        "iterations": iterations,
+        "seed": seed,
+    }
+    return tuple(
+        EvalReport(**report[arm], config_echo={**echo, "arm": arm})
+        for arm in ("without_filter", "with_filter")
     )
 
 
@@ -203,15 +208,10 @@ def sweep_shots(
     """run_fewshot_eval per shot count, with per-m seeds derived from the
     master seed."""
     m_values = list(m_values)
-    if not m_values:
-        return []
-    derived = np.random.SeedSequence(seed).generate_state(len(m_values))
-    results = []
-    for m, m_seed in zip(m_values, derived):
-        spec_m = replace(spec_base, m_shot=int(m))
-        results.append(
-            run_fewshot_eval(
-                pool, spec_m, denoise_cfg, classifier_cfg, iterations, int(m_seed)
-            )
+    return [
+        run_fewshot_eval(
+            pool, replace(spec_base, m_shot=int(m)), denoise_cfg, classifier_cfg,
+            iterations, m_seed,
         )
-    return results
+        for m, m_seed in zip(m_values, per_m_seeds(seed, m_values))
+    ]

@@ -44,10 +44,6 @@ class ConvergenceFailure(GfdError):
 class ClassTooSmall(GfdError):
     """A class has too few samples to build a graph."""
 
-    def __init__(self, label: str, message: str | None = None):
-        self.label = label
-        super().__init__(message or f"class {label!r} has fewer than 2 samples")
-
 
 class EmptyClass(GfdError):
     """A classifier was fit on an empty training set."""

@@ -1,17 +1,26 @@
 """Configuration precedence and CLI behavior tests."""
 
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gfdenoise
 from gfdenoise.cli import run_cli
-from gfdenoise.config import build_run_config, parse_config_file
+from gfdenoise.config import (
+    CONFIG_KEYS,
+    PoolConfig,
+    RunConfig,
+    build_run_config,
+    parse_config_file,
+)
 from gfdenoise.data import make_gaussian_pool
 from gfdenoise.denoise import DenoiseConfig, denoise_dataset
+from gfdenoise.episodes import ClassifierConfig, EpisodeSpec, run_fewshot_eval, sweep_shots
 from gfdenoise.errors import ConfigError
 from gfdenoise.fileio import (
     load_features_binary,
@@ -90,6 +99,33 @@ class TestConfigFile:
         assert fewshot.classifier.kind == "ncm" and fewshot.classifier.metric == "cosine"
         assert standard.classifier.kind == "nn1" and standard.classifier.metric == "euclidean"
         assert (standard.denoise.k1, standard.denoise.k2) == (20, 55)
+
+    @pytest.mark.parametrize(
+        "mode,expected",
+        [
+            ("denoise", RunConfig("denoise")),
+            ("eval-fewshot", RunConfig("eval-fewshot")),
+            (
+                "eval-standard",
+                RunConfig(
+                    "eval-standard",
+                    denoise=DenoiseConfig(k1=20, k2=55),
+                    classifier=ClassifierConfig(kind="nn1", metric="euclidean"),
+                    pool=PoolConfig(classes=10, per_class=500),
+                ),
+            ),
+            ("verify-theory", RunConfig("verify-theory", denoise=DenoiseConfig(graph_kind="complete"))),
+        ],
+    )
+    def test_defaults_are_the_dataclass_defaults(self, mode, expected):
+        assert build_run_config(mode, {}, {}) == expected
+
+    def test_accepted_keys_match_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+        assert len(keys) == 27
+        assert set(CONFIG_KEYS) == keys
 
     def test_classifier_kind_from_file(self):
         cfg = build_run_config("eval-fewshot", {"classifier.kind": "nn1"}, {})
@@ -209,6 +245,12 @@ class TestCliEval:
         assert run_cli(["eval-fewshot", "--config", str(cfg), "--out", str(out)]) == 0
         assert load_report(out)["results"] == []
 
+    def test_sweep_shot_count_from_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("episode.m_values = 0,2\n")
+        assert run_cli(["eval-fewshot", "--config", str(cfg)]) == 2
+        assert "config error: m_shot and q_query must be >= 1" in capsys.readouterr().err
+
     def test_eval_standard_on_files(self, tmp_path):
         pool = small_pool()
         src = tmp_path / "train.csv"
@@ -222,6 +264,63 @@ class TestCliEval:
         report = load_report(out)
         assert set(report) >= {"without_filter", "with_filter", "train_rows", "test_rows"}
         assert report["train_rows"] + report["test_rows"] == pool.n
+
+
+class TestCliMatchesLibrary:
+    """A report's arms are the numbers the library returns for the same
+    arguments."""
+
+    @staticmethod
+    def _arm(report):
+        return {
+            "mean_accuracy": report.mean_accuracy,
+            "ci95_halfwidth": report.ci95_halfwidth,
+            "iterations": report.iterations,
+        }
+
+    def test_single_run(self, tmp_path):
+        pool = small_pool()
+        src = tmp_path / "pool.csv"
+        save_features_text(src, pool)
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "eval-fewshot", "--in", str(src), "--n-way", "3", "--m-shot", "4",
+            "--q-query", "5", "--k2", "3", "--iterations", "12", "--seed", "8",
+            "--out", str(out),
+        ])
+        assert code == 0
+        report = load_report(out)
+        without, with_ = run_fewshot_eval(
+            pool, EpisodeSpec(n_way=3, m_shot=4, q_query=5), DenoiseConfig(k2=3),
+            ClassifierConfig(), 12, 8,
+        )
+        assert report["without_filter"] == self._arm(without)
+        assert report["with_filter"] == self._arm(with_)
+
+    @pytest.mark.filterwarnings("ignore::gfdenoise.denoise.SmallClassWarning")
+    def test_sweep(self, tmp_path):
+        pool = small_pool()
+        src = tmp_path / "pool.csv"
+        save_features_text(src, pool)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "episode.m_values = 1,3,4\nepisode.n_way = 3\nepisode.q_query = 5\n"
+            "iterations = 9\nseed = 2\nclassifier.kind = nn1\n"
+        )
+        out = tmp_path / "sweep.json"
+        assert run_cli(["eval-fewshot", "--config", str(cfg), "--in", str(src), "--out", str(out)]) == 0
+        results = load_report(out)["results"]
+        expected = sweep_shots(
+            pool, EpisodeSpec(n_way=3, q_query=5), [1, 3, 4], DenoiseConfig(),
+            ClassifierConfig(kind="nn1"), 9, 2,
+        )
+        assert [entry["m_shot"] for entry in results] == [1, 3, 4]
+        for entry, (without, with_) in zip(results, expected, strict=True):
+            assert entry["without_filter"] == self._arm(without)
+            assert entry["with_filter"] == self._arm(with_)
+            assert entry["paired_delta"]["mean"] == pytest.approx(
+                with_.mean_accuracy - without.mean_accuracy, abs=1e-12
+            )
 
 
 class TestCliVerifyTheory:

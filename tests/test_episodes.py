@@ -10,6 +10,8 @@ from gfdenoise.episodes import (
     EpisodeSpec,
     confidence_interval,
     paired_accuracies,
+    paired_report,
+    per_m_seeds,
     run_fewshot_eval,
     sample_episode,
     sweep_shots,
@@ -97,6 +99,36 @@ class TestConfidenceInterval:
     def test_single_value_rejected(self):
         with pytest.raises(TooFewSamples):
             confidence_interval([0.5])
+
+
+class TestPairedReport:
+    def test_arms_and_delta_use_confidence_interval(self):
+        rng = np.random.default_rng(4)
+        raw, filt = rng.random(12), rng.random(12)
+        report = paired_report(raw, filt)
+        for arm, values in (("without_filter", raw), ("with_filter", filt)):
+            mean, hw = confidence_interval(values)
+            assert report[arm] == {"mean_accuracy": mean, "ci95_halfwidth": hw, "iterations": 12}
+        mean, hw = confidence_interval(filt - raw)
+        assert report["paired_delta"] == {"mean": mean, "ci95_halfwidth": hw}
+
+    def test_single_value_has_zero_halfwidth(self):
+        report = paired_report(np.array([0.25]), np.array([0.75]))
+        assert report["without_filter"] == {
+            "mean_accuracy": 0.25, "ci95_halfwidth": 0.0, "iterations": 1,
+        }
+        assert report["with_filter"]["mean_accuracy"] == 0.75
+        assert report["paired_delta"] == {"mean": 0.5, "ci95_halfwidth": 0.0}
+
+
+class TestPerMSeeds:
+    def test_prefix_of_the_master_seed_state(self):
+        state = np.random.SeedSequence(11).generate_state(4)
+        assert per_m_seeds(11, [5, 20, 100]) == [int(s) for s in state[:3]]
+        assert per_m_seeds(11, [7]) == [int(state[0])]
+
+    def test_empty(self):
+        assert per_m_seeds(11, []) == []
 
 
 class TestPairedEvaluation:
