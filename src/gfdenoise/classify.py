@@ -20,28 +20,29 @@ class NcmModel:
 
 
 def _unit_rows(A: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(A, axis=1)
+    norms = np.linalg.norm(A, axis=-1)
     safe = np.where(norms == 0.0, 1.0, norms)
-    return A / safe[:, None]
+    return A / safe[..., None]
 
 
 def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
-    """Distance matrix between the rows of A and the rows of B.
+    """Distance matrix between the rows of A and the rows of B, or between
+    the matrices of two stacks (last two axes) pair by pair.
 
     Cosine distance is 1 - cosine similarity; zero-norm rows are treated
     as orthogonal to everything.
     """
-    if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    if A.shape[-1] != B.shape[-1]:
+        raise DimensionMismatch(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
     if metric == "euclidean":
         sq = (
-            np.sum(A * A, axis=1)[:, None]
-            + np.sum(B * B, axis=1)[None, :]
-            - 2.0 * (A @ B.T)
+            np.sum(A * A, axis=-1)[..., :, None]
+            + np.sum(B * B, axis=-1)[..., None, :]
+            - 2.0 * (A @ B.swapaxes(-1, -2))
         )
         return np.sqrt(np.clip(sq, 0.0, None))
     if metric == "cosine":
-        return 1.0 - _unit_rows(A) @ _unit_rows(B).T
+        return 1.0 - _unit_rows(A) @ _unit_rows(B).swapaxes(-1, -2)
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
 
 

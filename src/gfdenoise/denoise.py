@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledFeatures, class_index_map
-from .errors import ClassTooSmall, InvalidK, InvalidRange
+from .errors import ClassTooSmall, GfdError, InvalidK, InvalidRange
 from .graphs import class_graph
 from .spectral import (
     apply_filter,
@@ -77,46 +77,71 @@ class DenoiseConfig:
 
 
 def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
-    """Filter one class's m x d feature block through its own graph.
+    """Filter one class's m x d feature block through its own graph, or
+    each block of a (B, m, d) stack through its own graph.
 
     Row order is preserved. When the effective filter passes every
     frequency (k1 clipped to m), the input is returned unchanged without
     building a graph. Large connected kNN graphs with few passed frequencies
     (see LANCZOS_MIN_ROWS) are solved for only the eigenpairs the filter
-    passes; every other graph gets a full dense eigendecomposition.
+    passes; every other graph, and every stack, gets a full dense
+    eigendecomposition. A stack gives, and raises, what its blocks give
+    one at a time: when it fails, the error is the first failing block's.
     """
     F_c = np.asarray(F_c, dtype=np.float64)
-    m = F_c.shape[0]
+    m = F_c.shape[-2]
     if m < 2:
         raise ClassTooSmall(f"need >= 2 samples, got {m}")
     eff = cfg.for_class_size(m)
     if eff.k1 == m:
         return F_c.copy()
+    try:
+        return _filter(F_c, eff)
+    except GfdError:
+        if F_c.ndim == 2:
+            raise
+        for block in F_c:
+            _filter(block, eff)
+        raise
+
+
+def _filter(F_c: np.ndarray, eff: DenoiseConfig) -> np.ndarray:
+    """denoise_class's filter for a config already clipped to the class size."""
+    m = F_c.shape[-2]
     W = class_graph(F_c, eff.graph_kind, eff.knn_k)
     basis = None
-    if eff.graph_kind == "knn" and m >= LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR * eff.k2 <= m:
+    if (
+        F_c.ndim == 2 and eff.graph_kind == "knn"
+        and m >= LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR * eff.k2 <= m
+    ):
         basis = lowest_eigenpairs(W, eff.k2)
     if basis is None:
         basis = eigendecompose(normalized_laplacian(W))
-    gains = step_response(eff.k1, eff.k2, eff.mid_gain, basis.eigenvalues.size)
+    gains = step_response(eff.k1, eff.k2, eff.mid_gain, basis.eigenvalues.shape[-1])
     return apply_filter(basis, gains, F_c)
+
+
+def denoise_or_pass(F: np.ndarray, cfg: DenoiseConfig, name: str) -> np.ndarray:
+    """denoise_class, except that classes of fewer than 2 rows are passed
+    through unfiltered with one SmallClassWarning naming them, so 1-shot
+    support sets remain usable."""
+    if F.shape[-2] < 2:
+        warnings.warn(
+            f"{name} has fewer than 2 samples; passed through unfiltered",
+            SmallClassWarning,
+            stacklevel=3,
+        )
+        return F.copy()
+    return denoise_class(F, cfg)
 
 
 def denoise_dataset(data: LabeledFeatures, cfg: DenoiseConfig) -> LabeledFeatures:
     """Apply denoise_class independently to every class of a dataset.
 
     Labels and row order are unchanged. Classes with a single sample are
-    passed through unfiltered with a SmallClassWarning instead of failing,
-    so 1-shot support sets remain usable.
+    passed through unfiltered (see denoise_or_pass) instead of failing.
     """
     out = data.features.copy()
     for label, idx in class_index_map(data.labels).items():
-        if idx.size < 2:
-            warnings.warn(
-                f"class {label!r} has fewer than 2 samples; passed through unfiltered",
-                SmallClassWarning,
-                stacklevel=2,
-            )
-            continue
-        out[idx] = denoise_class(data.features[idx], cfg)
+        out[idx] = denoise_or_pass(data.features[idx], cfg, f"class {label!r}")
     return LabeledFeatures(features=out, labels=data.labels.copy())

@@ -1,4 +1,9 @@
-"""Similarity graphs over feature vectors of a single class."""
+"""Similarity graphs over feature vectors of a single class.
+
+The functions that take arrays act on the last two axes, so a (B, m, d)
+stack of class blocks gives a (B, m, m) stack of graphs, each equal to
+what its block gives alone.
+"""
 
 import numpy as np
 
@@ -8,21 +13,28 @@ from .errors import InvalidK, InvalidSize, ZeroVector
 RESTORED_EDGE_WEIGHT = 1e-6
 
 
+def set_diagonal(A: np.ndarray, value) -> None:
+    """Set the diagonal of each matrix in the stack A (last two axes), in place."""
+    i = np.arange(A.shape[-1])
+    A[..., i, i] = value
+
+
 def cosine_similarity(F: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities with a structurally zero diagonal.
 
-    Raises ZeroVector if any feature row has zero norm.
+    Raises ZeroVector if any feature row has zero norm, naming the first
+    such row by its index within its block.
     """
     F = np.asarray(F, dtype=np.float64)
-    norms = np.linalg.norm(F, axis=1)
+    norms = np.linalg.norm(F, axis=-1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ZeroVector(int(zero[0]))
-    unit = F / norms[:, None]
-    S = unit @ unit.T
-    S = 0.5 * (S + S.T)
+        raise ZeroVector(int(zero[0] % F.shape[-2]))
+    unit = F / norms[..., None]
+    S = unit @ unit.swapaxes(-1, -2)
+    S = 0.5 * (S + S.swapaxes(-1, -2))
     np.clip(S, -1.0, 1.0, out=S)
-    np.fill_diagonal(S, 0.0)
+    set_diagonal(S, 0.0)
     return S
 
 
@@ -35,29 +47,29 @@ def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
     construction. Off-diagonal entries must be finite.
     """
     S = np.asarray(S, dtype=np.float64)
-    n = S.shape[0]
+    n = S.shape[-1]
     if not 1 <= k < n:
         raise InvalidK(f"need 1 <= k < n, got k={k} n={n}")
     if k == n - 1:  # every off-diagonal entry is among its row's k largest
         W = S.copy()
-        np.fill_diagonal(W, 0.0)
+        set_diagonal(W, 0.0)
         return W
     # Row i keeps every entry above its k-th largest off-diagonal value t_i
     # and, of the entries equal to t_i, the lowest-column ones up to k.
     ranked = S.copy()
-    np.fill_diagonal(ranked, -np.inf)
-    ranked.partition(n - k, axis=1)
-    threshold = ranked[:, n - k, None].copy()
+    set_diagonal(ranked, -np.inf)
+    ranked.partition(n - k, axis=-1)
+    threshold = ranked[..., n - k, None].copy()
     del ranked
     keep = S >= threshold
-    np.fill_diagonal(keep, False)
-    surplus = np.flatnonzero(keep.sum(axis=1) > k)
-    if surplus.size:
+    set_diagonal(keep, False)
+    surplus = keep.sum(axis=-1) > k
+    if surplus.any():
         rows = keep[surplus]
         tied = rows & (S[surplus] == threshold[surplus])
         room = k - rows.sum(axis=1) + tied.sum(axis=1)
         keep[surplus] = rows & (~tied | (np.cumsum(tied, axis=1) <= room[:, None]))
-    keep |= keep.T
+    keep |= keep.swapaxes(-1, -2)
     return np.where(keep, S, 0.0)
 
 
@@ -76,21 +88,27 @@ def clamp_negative_edges(W: np.ndarray, eps: float = RESTORED_EDGE_WEIGHT) -> np
     """
     W = np.asarray(W, dtype=np.float64)
     clamped = np.clip(W, 0.0, None)
-    isolated = np.flatnonzero(clamped.sum(axis=1) == 0.0)
-    for i in isolated:
-        candidates = np.flatnonzero(W[i] != 0.0)
+    # Each row is (block index..., vertex), in the order the loop of one
+    # block would visit them.
+    for *block, i in np.argwhere(clamped.sum(axis=-1) == 0.0).tolist():
+        row = W[(*block, i)]
+        candidates = np.flatnonzero(row != 0.0)
         if candidates.size == 0:
             continue  # no edge at all in the pattern; Laplacian will reject
-        j = candidates[np.argmax(W[i, candidates])]
-        clamped[i, j] = eps
-        clamped[j, i] = eps
+        j = candidates[np.argmax(row[candidates])]
+        clamped[(*block, i, j)] = eps
+        clamped[(*block, j, i)] = eps
     return clamped
 
 
 def class_graph(F: np.ndarray, kind: str, knn_k: int) -> np.ndarray:
     """Adjacency of one class graph: cosine kNN ("knn") or unit-weight
-    complete ("complete")."""
-    m = F.shape[0]
+    complete ("complete").
+
+    For a (B, m, d) stack, "knn" gives one (m, m) graph per block, and
+    "complete" the single (m, m) graph that every block shares.
+    """
+    m = F.shape[-2]
     if kind == "complete":
         return complete_graph(m)
     if kind == "knn":

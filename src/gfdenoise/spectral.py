@@ -2,7 +2,9 @@
 
 Eigenvalues of the normalized Laplacian play the role of frequencies:
 a signal on the vertices is transformed into the eigenbasis, reweighted
-per frequency by a gain vector, and transformed back.
+per frequency by a gain vector, and transformed back. The Laplacian, the
+dense eigendecomposition and the filter act on the last two axes, so a
+stack of graphs is handled in one call, each as it would be alone.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidRange, IsolatedVertex
+from .graphs import set_diagonal
 
 # Eigenvalues of a normalized Laplacian are >= 0 up to round-off from the
 # D^{-1/2} scaling; anything above this floor is clamped to 0.
@@ -19,23 +22,24 @@ PSD_FLOOR = -1e-9
 @dataclass(frozen=True)
 class SpectralBasis:
     """Orthonormal eigenvectors (columns) and ascending eigenvalues of a
-    symmetric n x n matrix: all n eigenpairs, or only the lowest k."""
+    symmetric n x n matrix, or of each matrix of a stack: all n eigenpairs,
+    or only the lowest k."""
 
-    eigenvectors: np.ndarray  # (n, n) or (n, k)
-    eigenvalues: np.ndarray   # (n,) or (k,), ascending
+    eigenvectors: np.ndarray  # (..., n, n) or (n, k)
+    eigenvalues: np.ndarray   # (..., n) or (k,), ascending
 
     @property
     def n(self) -> int:
-        return self.eigenvectors.shape[0]
+        return self.eigenvectors.shape[-2]
 
 
 def _check_adjacency(W: np.ndarray) -> np.ndarray:
     W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+    if W.ndim < 2 or W.shape[-2] != W.shape[-1]:
         raise DimensionMismatch(f"adjacency must be square, got shape {W.shape}")
-    if not np.allclose(W, W.T, atol=1e-12, rtol=0.0):
+    if not np.allclose(W, W.swapaxes(-1, -2), atol=1e-12, rtol=0.0):
         raise ValueError("adjacency must be symmetric")
-    if np.any(np.diagonal(W) != 0.0):
+    if np.any(np.diagonal(W, axis1=-2, axis2=-1) != 0.0):
         raise ValueError("adjacency must have a zero diagonal")
     if W.size and W.min() < 0.0:
         raise ValueError("adjacency weights must be nonnegative")
@@ -44,23 +48,24 @@ def _check_adjacency(W: np.ndarray) -> np.ndarray:
 
 def degree_vector(W: np.ndarray) -> np.ndarray:
     """Row sums of the adjacency matrix."""
-    return _check_adjacency(W).sum(axis=1)
+    return _check_adjacency(W).sum(axis=-1)
 
 
 def normalized_laplacian(W: np.ndarray) -> np.ndarray:
     """Degree-normalized Laplacian I - D^{-1/2} W D^{-1/2}.
 
-    Raises IsolatedVertex if any vertex has zero degree; such a vertex
-    must be dropped or reconnected by the caller first.
+    Raises IsolatedVertex if any vertex has zero degree, naming the first
+    one by its index within its graph; such a vertex must be dropped or
+    reconnected by the caller first.
     """
     W = _check_adjacency(W)
-    deg = W.sum(axis=1)
+    deg = W.sum(axis=-1)
     zero = np.flatnonzero(deg == 0.0)
     if zero.size:
-        raise IsolatedVertex(int(zero[0]))
+        raise IsolatedVertex(int(zero[0] % W.shape[-1]))
     dinv = 1.0 / np.sqrt(deg)
-    L = -(W * np.outer(dinv, dinv))
-    np.fill_diagonal(L, 1.0)
+    L = -(W * (dinv[..., :, None] * dinv[..., None, :]))
+    set_diagonal(L, 1.0)
     return L
 
 
@@ -73,7 +78,7 @@ def eigendecompose(L: np.ndarray) -> SpectralBasis:
     serialized bases agree; filtering itself is sign-invariant.
     """
     L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
+    if L.ndim < 2 or L.shape[-2] != L.shape[-1]:
         raise DimensionMismatch(f"matrix must be square, got shape {L.shape}")
     try:
         lam, U = np.linalg.eigh(L)
@@ -86,9 +91,9 @@ def _conventional_basis(lam: np.ndarray, U: np.ndarray) -> SpectralBasis:
     """Clamp eigenvalues above the PSD floor to 0 and make each
     eigenvector's entry of largest magnitude nonnegative, in place."""
     lam[(lam < 0.0) & (lam > PSD_FLOOR)] = 0.0
-    anchor = np.argmax(np.abs(U), axis=0)
-    flip = U[anchor, np.arange(U.shape[1])] < 0.0
-    U[:, flip] = -U[:, flip]
+    anchor = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    flip = np.take_along_axis(U, anchor, axis=-2) < 0.0
+    np.negative(U, out=U, where=flip)
     return SpectralBasis(eigenvectors=U, eigenvalues=lam)
 
 
@@ -163,18 +168,20 @@ def apply_filter(basis: SpectralBasis, gains: np.ndarray, F: np.ndarray) -> np.n
     per eigenpair of the basis.
 
     F may be a length-n signal or an n x d matrix; columns are filtered
-    independently.
+    independently. A (..., n, d) stack of matrices is filtered matrix by
+    matrix, by a stacked basis of the same leading shape or by one shared
+    basis.
     """
     gains = np.asarray(gains, dtype=np.float64)
     F = np.asarray(F, dtype=np.float64)
-    if gains.shape[0] != basis.eigenvalues.size:
-        raise DimensionMismatch(
-            f"gain length {gains.shape[0]} != basis size {basis.eigenvalues.size}"
-        )
-    if F.shape[0] != basis.n:
-        raise DimensionMismatch(f"signal rows {F.shape[0]} != basis size {basis.n}")
-    spectrum = basis.eigenvectors.T @ F
-    spectrum = spectrum * gains if F.ndim == 1 else spectrum * gains[:, None]
+    pairs = basis.eigenvalues.shape[-1]
+    if gains.shape[-1] != pairs:
+        raise DimensionMismatch(f"gain length {gains.shape[-1]} != basis size {pairs}")
+    rows = F.shape[0] if F.ndim == 1 else F.shape[-2]
+    if rows != basis.n:
+        raise DimensionMismatch(f"signal rows {rows} != basis size {basis.n}")
+    spectrum = basis.eigenvectors.swapaxes(-1, -2) @ F
+    spectrum = spectrum * gains if F.ndim == 1 else spectrum * gains[..., None]
     return basis.eigenvectors @ spectrum
 
 

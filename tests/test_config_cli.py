@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import outcome, per_episode_accuracies
 
 import gfdenoise
 from gfdenoise.cli import run_cli
@@ -18,7 +19,7 @@ from gfdenoise.config import (
     build_run_config,
     parse_config_file,
 )
-from gfdenoise.data import make_gaussian_pool
+from gfdenoise.data import LabeledFeatures, make_gaussian_pool
 from gfdenoise.denoise import DenoiseConfig, denoise_dataset
 from gfdenoise.episodes import ClassifierConfig, EpisodeSpec, run_fewshot_eval, sweep_shots
 from gfdenoise.errors import ConfigError
@@ -323,6 +324,35 @@ class TestCliMatchesLibrary:
             )
 
 
+class TestCliErrorsMatchPerEpisode:
+    """eval-fewshot exits and reports on stderr as evaluating its episodes
+    one at a time would."""
+
+    FLAGS = ["--n-way", "3", "--m-shot", "4", "--q-query", "3", "--iterations", "40", "--seed", "3"]
+
+    def _check(self, tmp_path, capsys, pool):
+        src = tmp_path / "pool.csv"
+        save_features_text(src, pool)
+        code = run_cli(["eval-fewshot", "--in", str(src), *self.FLAGS])
+        error, message = outcome(lambda: per_episode_accuracies(
+            pool, EpisodeSpec(n_way=3, m_shot=4, q_query=3), DenoiseConfig(),
+            ClassifierConfig(), 40, 3,
+        ))
+        assert (code, capsys.readouterr().err) == (1, f"gfdenoise: error: {message}\n")
+        return error
+
+    def test_zero_support_row(self, tmp_path, capsys):
+        pool = small_pool()
+        pool.features[[5, 13]] = 0.0
+        assert self._check(tmp_path, capsys, pool).__name__ == "ZeroVector"
+
+    def test_too_small_class(self, tmp_path, capsys):
+        pool = small_pool()
+        keep = np.flatnonzero(pool.labels != pool.labels[-1]).tolist() + [pool.n - 1]
+        small = LabeledFeatures(pool.features[keep], pool.labels[keep])
+        assert self._check(tmp_path, capsys, small).__name__ == "InsufficientPool"
+
+
 class TestCliVerifyTheory:
     def test_report_contains_both_views(self, tmp_path):
         out = tmp_path / "theory.json"
@@ -362,3 +392,22 @@ def test_small_class_runs_do_not_import_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.stdout.strip() == "[0, 0, 0] []", proc.stderr
+
+
+def test_denoise_does_not_import_numpy_random(tmp_path):
+    """numpy imports numpy.random lazily, and it adds about 6 MB of resident
+    memory; denoise draws nothing, so it must not pay for it."""
+    src = tmp_path / "in.csv"
+    save_features_text(src, small_pool())
+    script = (
+        "import sys\n"
+        "from gfdenoise.cli import run_cli\n"
+        "code = run_cli(['denoise', '--in', sys.argv[2], '--out', sys.argv[1]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out.csv"), str(src)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.strip() == "0 False", proc.stderr

@@ -1,10 +1,14 @@
 """Episode sampling and paired evaluation harness tests."""
 
+import warnings
+
 import numpy as np
 import pytest
+from reference import outcome, per_episode_accuracies
 
-from gfdenoise.data import LabeledFeatures, make_gaussian_pool
-from gfdenoise.denoise import DenoiseConfig
+import gfdenoise.episodes
+from gfdenoise.data import LabeledFeatures, class_index_map, make_gaussian_pool
+from gfdenoise.denoise import DenoiseConfig, SmallClassWarning, denoise_dataset
 from gfdenoise.episodes import (
     ClassifierConfig,
     EpisodeSpec,
@@ -16,7 +20,7 @@ from gfdenoise.episodes import (
     sample_episode,
     sweep_shots,
 )
-from gfdenoise.errors import InsufficientPool, InvalidSize, TooFewSamples
+from gfdenoise.errors import InsufficientPool, InvalidSize, TooFewSamples, ZeroVector
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,22 @@ class TestSampleEpisode:
             sample_episode(pool, EpisodeSpec(n_way=9, m_shot=1, q_query=1), seed=0)
         with pytest.raises(InsufficientPool):
             sample_episode(pool, EpisodeSpec(n_way=3, m_shot=20, q_query=20), seed=0)
+
+    def test_draws_follow_the_documented_rng_calls(self, pool):
+        # One generator per seed: the classes, then each class's rows in
+        # draw order, all without replacement. Seeds give the same episodes
+        # as this sequence of calls.
+        spec = EpisodeSpec(n_way=4, m_shot=3, q_query=5)
+        index = list(class_index_map(pool.labels).values())
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            chosen = rng.choice(len(index), size=4, replace=False)
+            picks = [index[c][rng.choice(index[c].size, size=8, replace=False)] for c in chosen]
+            ep = sample_episode(pool, spec, seed)
+            support = pool.features[np.concatenate([p[:3] for p in picks])]
+            query = pool.features[np.concatenate([p[3:] for p in picks])]
+            assert np.array_equal(ep.support.features, support)
+            assert np.array_equal(ep.query.features, query)
 
     def test_class_selection_is_uniform(self, pool):
         # Each of the 8 classes should be drawn with frequency n_way/8,
@@ -193,6 +213,87 @@ class TestPairedEvaluation:
         assert without.config_echo["denoise"]["knn_k"] == 1
         assert without.config_echo["arm"] == "without_filter"
         assert with_.config_echo["arm"] == "with_filter"
+
+
+class TestMatchesPerEpisodeReference:
+    """paired_accuracies, which evaluates stacked chunks of episodes, equals
+    the one-episode-at-a-time definition exactly, errors included."""
+
+    @staticmethod
+    def chunk_of(episodes, spec, pool, monkeypatch):
+        """Set the chunk budget so that a chunk holds `episodes` episodes."""
+        rows = spec.n_way * (spec.m_shot + spec.q_query) * pool.d * pool.features.itemsize
+        monkeypatch.setattr(gfdenoise.episodes, "EPISODE_CHUNK_BYTES", episodes * rows)
+
+    @pytest.mark.filterwarnings("ignore::gfdenoise.denoise.SmallClassWarning")
+    @pytest.mark.parametrize("iterations", [1, 11])
+    @pytest.mark.parametrize("m_shot", [1, 2, 5])
+    @pytest.mark.parametrize("graph", ["knn", "complete"])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    @pytest.mark.parametrize("kind", ["ncm", "nn1"])
+    def test_accuracies_equal(self, pool, monkeypatch, kind, metric, graph, m_shot, iterations):
+        # Chunks of 4 episodes: 11 iterations end in a partial chunk.
+        spec = EpisodeSpec(n_way=4, m_shot=m_shot, q_query=3)
+        self.chunk_of(4, spec, pool, monkeypatch)
+        args = (
+            pool, spec, DenoiseConfig(knn_k=2, k1=1, k2=3, graph_kind=graph),
+            ClassifierConfig(kind, metric), iterations, 21,
+        )
+        stacked = paired_accuracies(*args)
+        reference = per_episode_accuracies(*args)
+        for got, want in zip(stacked, reference, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_default_chunk_budget(self, pool):
+        spec = EpisodeSpec(n_way=5, m_shot=5, q_query=15)
+        rows = spec.n_way * 20 * pool.d * 8
+        iterations = gfdenoise.episodes.EPISODE_CHUNK_BYTES // rows + 3
+        args = (pool, spec, DenoiseConfig(), ClassifierConfig(), iterations, 4)
+        for got, want in zip(paired_accuracies(*args), per_episode_accuracies(*args)):
+            assert np.array_equal(got, want)
+
+    def test_zero_support_row_raises_as_one_episode_does(self, pool, monkeypatch):
+        bad = LabeledFeatures(pool.features.copy(), pool.labels)
+        bad.features[np.flatnonzero(pool.labels == pool.labels[0])[::2]] = 0.0
+        spec = EpisodeSpec(n_way=3, m_shot=4, q_query=3)
+        self.chunk_of(4, spec, pool, monkeypatch)
+        args = (bad, spec, DenoiseConfig(), ClassifierConfig(), 30, 2)
+        with pytest.raises(ZeroVector) as exc:
+            paired_accuracies(*args)
+        assert outcome(lambda: per_episode_accuracies(*args)) == (ZeroVector, str(exc.value))
+
+    def test_failed_draw_after_a_failing_episode_of_its_chunk(self, pool, monkeypatch):
+        # One class has a zero row and another too few rows. Within a chunk,
+        # an episode that raises ZeroVector before the draw that raises
+        # InsufficientPool must win, as it does one episode at a time.
+        features, labels = pool.features.copy(), pool.labels.copy()
+        features[np.flatnonzero(labels == labels[0])] = 0.0
+        keep = np.ones(labels.size, dtype=bool)
+        keep[np.flatnonzero(labels == labels[-1])[5:]] = False
+        bad = LabeledFeatures(features[keep], labels[keep])
+        spec = EpisodeSpec(n_way=2, m_shot=3, q_query=3)
+        self.chunk_of(8, spec, pool, monkeypatch)
+        seen = set()
+        for seed in range(12):
+            args = (bad, spec, DenoiseConfig(), ClassifierConfig(), 16, seed)
+            got = outcome(lambda: paired_accuracies(*args))
+            assert got == outcome(lambda: per_episode_accuracies(*args))
+            seen.add(got[0])
+        assert seen == {ZeroVector, InsufficientPool}
+
+    def test_one_shot_warns_once_per_call(self, pool):
+        spec = EpisodeSpec(n_way=3, m_shot=1, q_query=2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            paired_accuracies(pool, spec, DenoiseConfig(), ClassifierConfig(), 3, 0)
+            denoise_dataset(sample_episode(pool, spec, 0).support, DenoiseConfig())
+        messages = [str(w.message) for w in caught if w.category is SmallClassWarning]
+        assert messages == [
+            "every support class has fewer than 2 samples; passed through unfiltered",
+            "class '0' has fewer than 2 samples; passed through unfiltered",
+            "class '1' has fewer than 2 samples; passed through unfiltered",
+            "class '2' has fewer than 2 samples; passed through unfiltered",
+        ]
 
 
 class TestSweep:
