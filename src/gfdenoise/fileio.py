@@ -1,7 +1,14 @@
 """Feature-file formats and report emission.
 
-Text format: one `label,v1,...,vd` row per line, `#` lines are comments,
-values written with 17 significant digits so float64 round-trips exactly.
+Text format: one `label,v1,...,vd` row per line. Each line is stripped
+of surrounding whitespace; blank lines and lines starting with `#` are
+skipped. The label is everything before the first comma, and each value
+follows Python float() syntax, surrounding whitespace included. Values are
+written as `%.17g`, so float64 round-trips exactly. A label that holds a
+comma or a line break, or starts with `#` or whitespace, would not read
+back as itself, so save_features_text rejects it before opening the file.
+Text costs far more than binary: at 50,000 x 128 (2-core machine), text
+took about 5.5 s to save and 3.4 s to load, binary 0.1-0.2 s each.
 
 Binary format (all integers little-endian):
 
@@ -22,6 +29,7 @@ exactly.
 import json
 import struct
 from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +38,9 @@ from .errors import BadMagic, InconsistentDimension, NonFiniteValue, ParseError,
 
 MAGIC = b"GFDENSE1"
 _HEADER = struct.Struct("<8sQQI")
+# ASCII separators that np.loadtxt strips from a value as whitespace but
+# float() rejects; a line holding one is left to the per-line parser.
+_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _check_finite(features: np.ndarray, linenos: array | None = None) -> None:
@@ -42,9 +53,48 @@ def _check_finite(features: np.ndarray, linenos: array | None = None) -> None:
         raise NonFiniteValue(row, None if linenos is None else linenos[row])
 
 
+def _data_lines(fh, labels: list, linenos: array):
+    """Yield the values part of each data line of fh, appending its label
+    and line number; raise ValueError at a line the bulk parse must not
+    take, so that the per-line parser names what is wrong with it."""
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        label, _, values = line.partition(",")
+        if not values or any(c in values for c in _NUMPY_ONLY_SPACES):
+            raise ValueError(f"line {lineno}")
+        labels.append(label)
+        linenos.append(lineno)
+        yield values
+
+
 def load_features_text(path) -> LabeledFeatures:
     """Parse a comma-separated feature file; row order is preserved and
-    labels stay opaque strings."""
+    labels stay opaque strings.
+
+    All values are parsed by one np.loadtxt call. A file it rejects is
+    parsed again line by line, which raises the typed error naming the
+    line, or accepts the values only float() takes (`1_0`, non-ASCII
+    digits)."""
+    labels, linenos = [], array("q")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = _data_lines(fh, labels, linenos)
+            first = next(lines, None)
+            if first is None:
+                raise ParseError(0, "no data lines in file")
+            features = np.loadtxt(
+                chain((first,), lines), delimiter=",", dtype=np.float64, ndmin=2, comments=None
+            )
+    except ValueError:
+        return _load_features_text_per_line(path)
+    _check_finite(features, linenos)
+    return LabeledFeatures(features=features, labels=np.asarray(labels))
+
+
+def _load_features_text_per_line(path) -> LabeledFeatures:
+    """The text grammar, one line and one float() call per value at a time."""
     labels, rows, linenos, dim = [], [], array("q"), None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -75,12 +125,22 @@ def load_features_text(path) -> LabeledFeatures:
 
 
 def save_features_text(path, data: LabeledFeatures) -> None:
+    """Write one line per row, every label checked before the file is opened."""
+    labels = data.labels.tolist()
+    for label in dict.fromkeys(labels):
+        if (
+            "," in label
+            or label.startswith("#")
+            or label[:1].isspace()
+            or "\n" in label
+            or "\r" in label
+        ):
+            raise ValueError(f"label {label!r} not representable in text format")
+    # "%.17g" % v and f"{v:.17g}" format a float identically.
+    row_format = "%s," + ",".join(["%.17g"] * data.d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(data.labels, data.features):
-            label = str(label)
-            if "," in label or label.startswith("#"):
-                raise ValueError(f"label {label!r} not representable in text format")
-            fh.write(label + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        for label, row in zip(labels, data.features):
+            fh.write(row_format % (label, *row.tolist()))
 
 
 def save_features_binary(path, data: LabeledFeatures) -> None:

@@ -1,9 +1,18 @@
 """Feature file format and report round-trip tests."""
 
 import json
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from text_reference import load_text_per_line, save_text_per_value
 
 from gfdenoise.data import LabeledFeatures
 from gfdenoise.errors import (
@@ -81,10 +90,202 @@ class TestTextFormat:
             assert np.array_equal(back.features, data.features)
             assert list(back.labels) == list(data.labels)
 
-    def test_unrepresentable_label_rejected(self, tmp_path):
-        data = LabeledFeatures([[1.0]], ["a,b"])
-        with pytest.raises(ValueError):
-            save_features_text(tmp_path / "bad.csv", data)
+    @pytest.mark.parametrize("label", ["a,b", "#a", " a", "\ta", "\xa0x", "a\nb", "a\rb", "a\r"])
+    def test_unrepresentable_label_rejected_before_writing(self, tmp_path, label):
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        data = LabeledFeatures([[1.0], [2.0]], ["ok", label])
+        with pytest.raises(ValueError, match="not representable in text format"):
+            save_features_text(path, data)
+        assert path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("label", ["", "a ", "a b", "a#", "é\u2028x", "a\tb"])
+    def test_representable_labels_round_trip(self, tmp_path, label):
+        path = tmp_path / "ok.csv"
+        save_features_text(path, LabeledFeatures([[1.0, -0.0]], [label]))
+        back = load_features_text(path)
+        assert list(back.labels) == [label]
+        assert back.features.tobytes() == np.array([[1.0, -0.0]]).tobytes()
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n", " \t\r\n"])
+    def test_no_data_raises_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no data lines in file"):
+                load_features_text(path)
+
+    def test_loader_holds_no_python_float_per_value(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = np.repeat([f"c{c:02d}" for c in range(40)], 100)
+        path = tmp_path / "big.csv"
+        save_features_text(path, LabeledFeatures(rng.standard_normal((4000, 64)), labels))
+        tracemalloc.start()
+        try:
+            data = load_features_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.features.shape == (4000, 64)
+        assert peak < 3 * data.features.nbytes
+
+
+def text_outcome(load, path):
+    """The features' bits and the labels a loader returns, or the type,
+    message, line and row of the GfdError it raises."""
+    try:
+        data = load(path)
+    except GfdError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "row", None)
+    return data.features.shape, data.features.tobytes(), data.labels.tolist()
+
+
+def same_outcome_as_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = text_outcome(load_features_text, path)
+        assert got == text_outcome(load_text_per_line, path)
+    return got
+
+
+EDGE_FLOATS = [
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+]
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+LABELS = st.text(alphabet="ab9_.-é #", max_size=5).filter(
+    lambda s: not s.startswith("#") and not s[:1].isspace()
+)
+
+
+@st.composite
+def tables(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    features = draw(hnp.arrays(np.float64, (n, d), elements=FINITE))
+    return LabeledFeatures(features, draw(st.lists(LABELS, min_size=n, max_size=n)))
+
+
+# Spellings of a value, each parsed by float(); the last two hold an
+# underscore or full-width digits, which np.loadtxt does not take.
+VALUE_SPELLINGS = [
+    lambda v: repr(v),
+    lambda v: f"{v:.17g}",
+    lambda v: f"{v:.3e}",
+    lambda v: f"{v:+.5E}",
+    lambda v: f"{round(v)}",
+    lambda v: f"{round(v)}.",
+    lambda v: f"{round(v)}\u2003",
+    lambda v: f"\xa0{v}",
+    lambda v: f"{round(v):_}",
+    lambda v: str(round(v)).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+]
+PADDING = ["", " ", "\t", "  \t"]
+NEWLINES = ["\n", "\r\n", "\r"]
+FILLER_LINES = ["", "   ", "\t", "# comment", "  #a,1,2", "#"]
+# Values the per-line parser rejects, or keeps as non-finite.
+BAD_VALUES = ["oops", "", " ", "1.0#x", '"1.0"', "'1'", "1e400", "-1e999", "nan", "-inf",
+              "Infinity", "1.0.0", "1e", "0x10", "1d5", "1 2", "1\x1c", "\x1f2", "--1", "1__0"]
+
+
+@st.composite
+def text_files(draw, bad_rows: bool):
+    """A feature file in any layout the format allows, its data rows valid
+    or, with bad_rows, some of them malformed in one of the ways above."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(NEWLINES))
+    lines = []
+    for _ in range(n):
+        lines += draw(st.lists(st.sampled_from(FILLER_LINES), max_size=2))
+        width = d
+        if bad_rows and draw(st.integers(0, 3)) == 0:
+            width = draw(st.sampled_from([d - 1, d, d + 1]))
+        values = []
+        for v in draw(st.lists(st.floats(-1e6, 1e6), min_size=width, max_size=width)):
+            spell = draw(st.sampled_from(VALUE_SPELLINGS))(v)
+            values.append(draw(st.sampled_from(PADDING)) + spell + draw(st.sampled_from(PADDING)))
+        if bad_rows and values and draw(st.integers(0, 3)) == 0:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(BAD_VALUES))
+        label = draw(st.sampled_from(["a", "b", "", "x y", "é"]))
+        lead, trail = draw(st.sampled_from(PADDING)), draw(st.sampled_from(PADDING))
+        lines.append(lead + ",".join([label] + values) + trail)
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestMatchesTextReference:
+    """The bulk reader and the row-format writer against the per-line parser
+    and per-value writer that define the text format."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables())
+    def test_writer_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            save_features_text(got, data)
+            save_text_per_value(want, data)
+            assert got.read_bytes() == want.read_bytes()
+            back = load_features_text(got)
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.labels.tolist() == data.labels.tolist()
+
+    def test_writer_bytes_at_the_float64_edges(self, tmp_path):
+        data = LabeledFeatures([EDGE_FLOATS, EDGE_FLOATS[::-1]], ["a", "b"])
+        save_features_text(tmp_path / "got.csv", data)
+        save_text_per_value(tmp_path / "want.csv", data)
+        text = (tmp_path / "got.csv").read_text()
+        assert text == (tmp_path / "want.csv").read_text()
+        assert text.startswith("a,-0,4.9406564584124654e-324,")
+        assert "1.7976931348623157e+308" in text
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_files(bad_rows=False))
+    def test_valid_layouts_load_identically(self, text):
+        got = same_outcome_as_reference(text)
+        assert not isinstance(got[0], type), got
+
+    @settings(max_examples=250, deadline=None)
+    @given(text_files(bad_rows=True))
+    def test_malformed_files_raise_identically(self, text):
+        same_outcome_as_reference(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789.,-+eE#anif _\t\r\n\x1c\xa0１", max_size=40))
+    def test_arbitrary_text_loads_or_raises_identically(self, text):
+        same_outcome_as_reference(text)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES + ["missing", "extra", "label only", "1_0"])
+    def test_bad_row_after_a_chunk_of_good_ones(self, bad):
+        rng = np.random.default_rng(4)
+        good = [f"c{i % 7}," + ",".join(f"{v:.17g}" for v in row)
+                for i, row in enumerate(rng.standard_normal((600, 3)))]
+        bad_row = {
+            "missing": "z,1,2",
+            "extra": "z,1,2,3,4",
+            "label only": "z",
+        }.get(bad, f"z,1,{bad},3")
+        text = "\n".join(good[:550] + [bad_row] + good[550:]) + "\n"
+        got = same_outcome_as_reference(text)
+        if bad == "1_0":
+            assert got[0] == (601, 3)
+        else:
+            assert got[0] in (ParseError, InconsistentDimension, NonFiniteValue)
+            assert got[2] == 551
+
+    @pytest.mark.parametrize("text", [
+        "a,1.0,2.0\r\nb,3.0,4.0\r\n",
+        "\n# head\n\n a , 1.0 ,\t2.0\t\n\n#b,9,9\nb,\t3.0 , 4.0  \n\n",
+        "only,5e-324",
+        "x,1_0,١٢",
+    ])
+    def test_layouts(self, text):
+        got = same_outcome_as_reference(text)
+        assert not isinstance(got[0], type), got
 
 
 class TestBinaryFormat:
