@@ -5,9 +5,6 @@ from .centroids import (
     GaussianClassSpec,
     analytic_centroid_factors,
     centroid,
-    filtered_centroid,
-    lowpass_cov_weights,
-    lowpass_mean_weight,
     monte_carlo_centroid_stats,
     sample_gaussian_class,
 )
@@ -37,7 +34,6 @@ from .graphs import clamp_negative_edges, complete_graph, cosine_similarity, knn
 from .spectral import (
     SpectralBasis,
     apply_filter,
-    degree_vector,
     eigendecompose,
     gft,
     ideal_lowpass_response,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .episodes import EPISODE_CHUNK_BYTES
 from .errors import InvalidRange, InvalidSize
 from .graphs import class_graph
 from .spectral import (
-    SpectralBasis,
     apply_filter,
     eigendecompose,
     ideal_lowpass_response,
@@ -36,6 +36,8 @@ class GaussianClassSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
+        if self.d < 1:
+            raise InvalidSize(f"need d >= 1 feature dimensions, got {self.d}")
         if self.mu.shape != (self.d,):
             raise InvalidSize(f"mu must have shape ({self.d},), got {self.mu.shape}")
         if self.sigma <= 0.0:
@@ -63,45 +65,24 @@ class CentroidStats:
 
 def sample_gaussian_class(spec: GaussianClassSpec, seed) -> np.ndarray:
     """Draw the m x d feature block; deterministic given the seed."""
-    rng = np.random.default_rng(seed)
-    return spec.mu + spec.sigma * rng.standard_normal((spec.m, spec.d))
+    return _draw_trials(spec, [seed])[0]
+
+
+def _draw_trials(spec: GaussianClassSpec, seeds) -> np.ndarray:
+    """The (T, m, d) feature blocks of T trials, one per seed: block t is
+    what sample_gaussian_class(spec, seeds[t]) draws."""
+    block = np.empty((len(seeds), spec.m, spec.d))
+    for t, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=block[t])
+    # In place, and equal to mu + sigma * z: IEEE products and sums commute.
+    block *= spec.sigma
+    block += spec.mu
+    return block
 
 
 def centroid(F: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the feature rows."""
     return np.asarray(F, dtype=np.float64).mean(axis=0)
-
-
-def filtered_centroid(F: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
-    """Centroid of the features after the ideal rank-k low-pass filter."""
-    F = np.asarray(F, dtype=np.float64)
-    return centroid(apply_filter(basis, ideal_lowpass_response(k, F.shape[0]), F))
-
-
-def lowpass_mean_weight(basis: SpectralBasis, k: int, m: int) -> float:
-    """Scalar relating the filtered centroid's expectation to the raw one:
-    (1/m) * sum_{j<=k} (1^T u_j)^2.
-
-    Equals 1 for k = m on any graph (the squared entry sums of a full
-    orthonormal basis add up to m).
-    """
-    if not 1 <= k <= m:
-        raise InvalidRange(f"need 1 <= k <= m, got k={k} m={m}")
-    col_sums = basis.eigenvectors[:, :k].sum(axis=0)
-    return float(np.sum(col_sums**2) / m)
-
-
-def lowpass_cov_weights(basis: SpectralBasis, k: int, m: int) -> np.ndarray:
-    """Squared column sums of the rank-k projector U_{:,:k} U_{:,:k}^T.
-
-    These weight the per-coordinate covariance of the filtered centroid;
-    for k = m the projector is the identity and every weight is 1.
-    """
-    if not 1 <= k <= m:
-        raise InvalidRange(f"need 1 <= k <= m, got k={k} m={m}")
-    Uk = basis.eigenvectors[:, :k]
-    projector = Uk @ Uk.T
-    return projector.sum(axis=0) ** 2
 
 
 def analytic_centroid_factors(m: int) -> tuple[float, float]:
@@ -135,6 +116,13 @@ def monte_carlo_centroid_stats(
     Trials use seed streams spawned from one master seed, so each trial is
     reproducible independent of execution order. Returns (raw, filtered)
     stats; callers should use >= 100 trials for meaningful estimates.
+
+    Trials are simulated a chunk at a time (see EPISODE_CHUNK_BYTES, which
+    counts a chunk's feature rows and, for a kNN graph, its m x m graphs;
+    a chunk holds at least one trial): the chunk's blocks are drawn into
+    one stack, which is filtered by one apply_filter call and reduced to
+    per-trial sums. Those are added to the totals one trial after another,
+    so the stats are bit-identical to a loop over single trials.
     """
     if not 1 <= k <= spec.m:
         raise InvalidRange(f"need 1 <= k <= m, got k={k} m={spec.m}")
@@ -142,29 +130,36 @@ def monte_carlo_centroid_stats(
         raise InvalidSize(f"need at least 2 trials, got {trials}")
     if knn_k is None:
         knn_k = spec.m - 1
-    gains = ideal_lowpass_response(k, spec.m)
+    m, d = spec.m, spec.d
+    gains = ideal_lowpass_response(k, m)
     fixed_basis = None
     if graph_kind == "complete":
         # The complete graph does not depend on the sampled features, so
         # its eigenbasis can be reused across trials.
         fixed_basis = eigendecompose(normalized_laplacian(class_graph(
-            np.zeros((spec.m, 1)), "complete", knn_k)))
+            np.zeros((m, 1)), "complete", knn_k)))
+    trial_bytes = 8 * m * (d if fixed_basis is not None else d + m)
+    chunk = max(1, EPISODE_CHUNK_BYTES // trial_bytes)
 
-    d = spec.d
-    sums = np.zeros((2, d))
-    sumsq = np.zeros((2, d))
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        F = sample_gaussian_class(spec, child)
+    # Spawning a chunk's seeds at a time gives the same seeds as spawning
+    # all of them at once, without holding them all.
+    master = np.random.SeedSequence(seed)
+    # totals[0] holds the sums and totals[1] the sums of squares, each of
+    # the raw arm then the filtered arm: (2, 2, 1, d).
+    totals = np.zeros((2, 2, 1, d))
+    for start in range(0, trials, chunk):
+        F = _draw_trials(spec, master.spawn(min(chunk, trials - start)))
         basis = fixed_basis
         if basis is None:
             basis = eigendecompose(normalized_laplacian(class_graph(F, graph_kind, knn_k)))
-        F_f = apply_filter(basis, gains, F)
-        sums[0] += F.sum(axis=0)
-        sumsq[0] += (F**2).sum(axis=0)
-        sums[1] += F_f.sum(axis=0)
-        sumsq[1] += (F_f**2).sum(axis=0)
+        arms = np.stack([F, apply_filter(basis, gains, F)])
+        parts = np.stack([arms.sum(axis=2), (arms**2).sum(axis=2)])
+        # A reduction over the trial axis may sum pairwise; cumsum adds the
+        # trials to the totals one after another, as a per-trial loop does.
+        totals = np.cumsum(np.concatenate([totals, parts], axis=2), axis=2)[:, :, -1:]
 
-    count = trials * spec.m
+    sums, sumsq = totals[:, :, 0]
+    count = trials * m
     means = sums / count
     traces = (sumsq - count * means**2).sum(axis=1) / (count - 1)
     raw = CentroidStats(mean_est=means[0], cov_trace_est=float(traces[0]), trials=trials)

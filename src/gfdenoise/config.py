@@ -4,12 +4,13 @@ override precedence (flag > config file > built-in default).
 Built-in defaults are the field defaults of the config dataclasses, with
 the per-mode overrides of `_MODE_DEFAULTS` on top."""
 
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import get_args
 
 from .denoise import DenoiseConfig
 from .episodes import ClassifierConfig, EpisodeSpec
-from .errors import ConfigError, GfdError
+from .errors import ConfigError, GfdError, InvalidRange, InvalidSize
 
 MODES = ("denoise", "eval-fewshot", "eval-standard", "verify-theory")
 
@@ -36,6 +37,23 @@ class TheoryConfig:
     sigma: float = 1.0
     mu: float = 1.0
     k: int = 1
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise InvalidSize(f"theory.d must be >= 1, got {self.d}")
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidRange(f"theory.sigma must be positive and finite, got {self.sigma}")
+        if not math.isfinite(self.mu):
+            raise InvalidRange(f"theory.mu must be finite, got {self.mu}")
+        if self.k < 1:
+            raise InvalidRange(f"theory.k must be >= 1, got {self.k}")
+        if any(m < 2 for m in self.m_values):
+            raise InvalidSize(f"theory.m_values must all be >= 2, got {list(self.m_values)}")
+        if self.m_values and self.k > min(self.m_values):
+            raise InvalidRange(
+                f"theory.k must be <= min(theory.m_values) = {min(self.m_values)}, "
+                f"got {self.k}"
+            )
 
 
 @dataclass(frozen=True)

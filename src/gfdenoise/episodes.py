@@ -24,6 +24,8 @@ CLASSIFIER_KINDS = ("ncm", "nn1")
 # three times its rows. Measured on a 2-vCPU VM for 1000 such episodes,
 # chunks of 1, 5 and 50 episodes took 0.72, 0.38 and 0.24 s, and chunks of
 # 20 and 80 raised the CLI's peak RSS by 2.3 and 12 MB over chunks of 5.
+# centroids.monte_carlo_centroid_stats sizes its chunks of trials by the
+# same budget.
 EPISODE_CHUNK_BYTES = 256 * 1024
 
 

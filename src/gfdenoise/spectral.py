@@ -46,11 +46,6 @@ def _check_adjacency(W: np.ndarray) -> np.ndarray:
     return W
 
 
-def degree_vector(W: np.ndarray) -> np.ndarray:
-    """Row sums of the adjacency matrix."""
-    return _check_adjacency(W).sum(axis=-1)
-
-
 def normalized_laplacian(W: np.ndarray) -> np.ndarray:
     """Degree-normalized Laplacian I - D^{-1/2} W D^{-1/2}.
 

@@ -1,11 +1,20 @@
 """References the stacked code is compared against: the per-episode loop
-that defines paired_accuracies, and the outcome of a call, errors included."""
+that defines paired_accuracies, the per-trial loop that defines
+monte_carlo_centroid_stats, and the outcome of a call, errors included."""
 
 import numpy as np
 
+from gfdenoise.centroids import CentroidStats
 from gfdenoise.denoise import denoise_dataset
 from gfdenoise.episodes import classify_episode, sample_episode
 from gfdenoise.errors import GfdError
+from gfdenoise.graphs import class_graph, complete_graph
+from gfdenoise.spectral import (
+    apply_filter,
+    eigendecompose,
+    ideal_lowpass_response,
+    normalized_laplacian,
+)
 
 
 def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, seed):
@@ -23,6 +32,42 @@ def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, 
         acc_raw[i] = np.mean(pred_raw == truth)
         acc_filt[i] = np.mean(pred_filt == truth)
     return acc_raw, acc_filt
+
+
+def draw_gaussian_class(spec, seed):
+    """One trial's m x d block, drawn as sample_gaussian_class defines it."""
+    return spec.mu + spec.sigma * np.random.default_rng(seed).standard_normal((spec.m, spec.d))
+
+
+def per_trial_centroid_stats(spec, graph_kind, k, trials, seed, knn_k=None):
+    """monte_carlo_centroid_stats one trial at a time: the trial's m x d
+    block drawn from its own spawned stream, its own graph (or the complete
+    graph's shared basis), apply_filter, and its sums added to the totals."""
+    if knn_k is None:
+        knn_k = spec.m - 1
+    gains = ideal_lowpass_response(k, spec.m)
+    fixed_basis = None
+    if graph_kind == "complete":
+        fixed_basis = eigendecompose(normalized_laplacian(complete_graph(spec.m)))
+    sums = np.zeros((2, spec.d))
+    sumsq = np.zeros((2, spec.d))
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        F = draw_gaussian_class(spec, child)
+        basis = fixed_basis
+        if basis is None:
+            basis = eigendecompose(normalized_laplacian(class_graph(F, graph_kind, knn_k)))
+        F_f = apply_filter(basis, gains, F)
+        sums[0] += F.sum(axis=0)
+        sumsq[0] += (F**2).sum(axis=0)
+        sums[1] += F_f.sum(axis=0)
+        sumsq[1] += (F_f**2).sum(axis=0)
+    count = trials * spec.m
+    means = sums / count
+    traces = (sumsq - count * means**2).sum(axis=1) / (count - 1)
+    return tuple(
+        CentroidStats(mean_est=means[arm], cov_trace_est=float(traces[arm]), trials=trials)
+        for arm in (0, 1)
+    )
 
 
 def outcome(call):

@@ -2,26 +2,26 @@
 
 import numpy as np
 import pytest
+from reference import draw_gaussian_class, per_trial_centroid_stats
 
+from gfdenoise import centroids
 from gfdenoise.centroids import (
     CentroidStats,
     GaussianClassSpec,
     analytic_centroid_factors,
     centroid,
-    filtered_centroid,
-    lowpass_cov_weights,
-    lowpass_mean_weight,
     monte_carlo_centroid_stats,
     sample_gaussian_class,
 )
+from gfdenoise.episodes import EPISODE_CHUNK_BYTES
 from gfdenoise.errors import InvalidRange, InvalidSize
-from gfdenoise.graphs import (
-    clamp_negative_edges,
-    complete_graph,
-    cosine_similarity,
-    knn_sparsify,
+from gfdenoise.graphs import clamp_negative_edges, complete_graph, cosine_similarity, knn_sparsify
+from gfdenoise.spectral import (
+    apply_filter,
+    eigendecompose,
+    ideal_lowpass_response,
+    normalized_laplacian,
 )
-from gfdenoise.spectral import eigendecompose, normalized_laplacian
 
 
 def complete_basis(m):
@@ -30,6 +30,12 @@ def complete_basis(m):
 
 def spec_of(m, d, mu=0.0, sigma=1.0):
     return GaussianClassSpec(mu=np.full(d, float(mu)), sigma=sigma, m=m, d=d)
+
+
+def lowpass_centroid(F, k):
+    """Centroid of F after the ideal rank-k low-pass on the complete graph."""
+    m = F.shape[0]
+    return centroid(apply_filter(complete_basis(m), ideal_lowpass_response(k, m), F))
 
 
 class TestSampling:
@@ -59,6 +65,8 @@ class TestSampling:
             GaussianClassSpec(mu=np.zeros(3), sigma=1.0, m=1, d=3)
         with pytest.raises(InvalidSize):
             GaussianClassSpec(mu=np.zeros(2), sigma=1.0, m=5, d=3)
+        with pytest.raises(InvalidSize):
+            GaussianClassSpec(mu=np.zeros(0), sigma=1.0, m=5, d=0)
 
 
 class TestCentroids:
@@ -69,64 +77,41 @@ class TestCentroids:
     def test_full_filter_preserves_centroid(self):
         rng = np.random.default_rng(2)
         F = rng.standard_normal((6, 3))
-        np.testing.assert_allclose(
-            filtered_centroid(F, complete_basis(6), k=6), centroid(F), atol=1e-10
-        )
+        np.testing.assert_allclose(lowpass_centroid(F, k=6), centroid(F), atol=1e-10)
 
     def test_rank1_on_complete_graph_is_exact_centroid(self):
         # The constant unit eigenvector makes the rank-1 filtered centroid
         # equal the raw centroid.
         rng = np.random.default_rng(3)
         F = rng.standard_normal((8, 5))
-        np.testing.assert_allclose(
-            filtered_centroid(F, complete_basis(8), k=1), centroid(F), atol=1e-12
-        )
+        np.testing.assert_allclose(lowpass_centroid(F, k=1), centroid(F), atol=1e-12)
 
     def test_zero_features(self):
-        np.testing.assert_allclose(
-            filtered_centroid(np.zeros((4, 2)), complete_basis(4), k=2), np.zeros(2)
-        )
+        np.testing.assert_allclose(lowpass_centroid(np.zeros((4, 2)), k=2), np.zeros(2))
 
 
 class TestLowpassWeights:
+    """The rank-k low-pass projector U_k U_k^T and the squared column sums
+    (1^T u_j)^2 that weight the filtered centroid; the verify-theory report
+    rests on the complete graph's unit constant eigenvector."""
+
     def test_full_basis_mean_weight_is_parseval_one(self):
+        # sum_j (1^T u_j)^2 = |U^T 1|^2 = |1|^2 = m for an orthonormal basis.
         rng = np.random.default_rng(4)
-        for m in (2, 5, 17):
-            basis = complete_basis(m)
-            assert lowpass_mean_weight(basis, m, m) == pytest.approx(1.0, abs=1e-10)
-        # also on a non-complete graph
         W = clamp_negative_edges(knn_sparsify(cosine_similarity(rng.standard_normal((9, 4))), 3))
-        basis = eigendecompose(normalized_laplacian(W))
-        assert lowpass_mean_weight(basis, 9, 9) == pytest.approx(1.0, abs=1e-10)
+        bases = [complete_basis(m) for m in (2, 5, 17)] + [eigendecompose(normalized_laplacian(W))]
+        for basis in bases:
+            weight = np.sum(basis.eigenvectors.sum(axis=0) ** 2) / basis.n
+            assert weight == pytest.approx(1.0, abs=1e-10)
 
     def test_complete_graph_rank1_weight_is_one(self):
         # (1^T u_1)^2 = m for the unit constant eigenvector.
-        assert lowpass_mean_weight(complete_basis(6), 1, 6) == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_k(self):
-        basis = complete_basis(4)
-        with pytest.raises(InvalidRange):
-            lowpass_mean_weight(basis, 0, 4)
-        with pytest.raises(InvalidRange):
-            lowpass_cov_weights(basis, 5, 4)
-
-    def test_cov_weights_identity_projector(self):
-        np.testing.assert_allclose(
-            lowpass_cov_weights(complete_basis(5), 5, 5), np.ones(5), atol=1e-10
-        )
+        assert complete_basis(6).eigenvectors[:, 0].sum() ** 2 / 6 == pytest.approx(1.0, abs=1e-12)
 
     def test_cov_weights_rank1_complete(self):
         # P = (1/m) * all-ones, so every column sums to 1.
-        np.testing.assert_allclose(
-            lowpass_cov_weights(complete_basis(7), 1, 7), np.ones(7), atol=1e-10
-        )
-
-    def test_cov_weights_nonnegative(self):
-        rng = np.random.default_rng(5)
-        W = clamp_negative_edges(knn_sparsify(cosine_similarity(rng.standard_normal((10, 3))), 2))
-        basis = eigendecompose(normalized_laplacian(W))
-        for k in (1, 3, 10):
-            assert lowpass_cov_weights(basis, k, 10).min() >= 0.0
+        u1 = complete_basis(7).eigenvectors[:, :1]
+        np.testing.assert_allclose(u1 @ u1.T, np.full((7, 7), 1.0 / 7), atol=1e-12)
 
     def test_projector_idempotence(self):
         basis = complete_basis(9)
@@ -216,3 +201,96 @@ class TestMonteCarlo:
             monte_carlo_centroid_stats(spec_of(5, 3), "complete", k=6, trials=100)
         with pytest.raises(InvalidSize):
             monte_carlo_centroid_stats(spec_of(5, 3), "complete", k=1, trials=1)
+
+
+# The grid of the differential tests: graph kind, m, d and k in {1, m}.
+ENGINE_GRID = [
+    (graph, m, d, k)
+    for graph in ("complete", "knn")
+    for m in (2, 3, 5, 20)
+    for d in (1, 2, 8)
+    for k in sorted({1, m})
+]
+# Trial counts of the grid, relative to a chunk of SMALL_CHUNK trials: more
+# than 8, so that a pairwise sum over a chunk's trials would differ from
+# adding them one after another.
+SMALL_CHUNK = 9
+TRIAL_COUNTS = {
+    "two": 2,
+    "below_chunk": SMALL_CHUNK - 1,
+    "three_chunks_and_one": 3 * SMALL_CHUNK + 1,
+}
+
+
+def trial_bytes(graph, m, d):
+    """What a trial counts against the chunk budget: its feature rows and,
+    for a kNN graph, its m x m graph."""
+    return 8 * m * (d + (m if graph == "knn" else 0))
+
+
+def default_chunk(graph, m, d):
+    return max(1, EPISODE_CHUNK_BYTES // trial_bytes(graph, m, d))
+
+
+def check_against_per_trial_loop(graph, m, d, k, trials, knn_k=None):
+    spec = spec_of(m, d, mu=1.0, sigma=1.5)
+    seed = 17 * m + d
+    got = monte_carlo_centroid_stats(spec, graph, k, trials, seed=seed, knn_k=knn_k)
+    expected = per_trial_centroid_stats(spec, graph, k, trials, seed=seed, knn_k=knn_k)
+    for stats, want in zip(got, expected):
+        assert stats.mean_est.tobytes() == want.mean_est.tobytes()
+        assert stats.cov_trace_est == want.cov_trace_est
+        assert stats.trials == trials
+
+
+class TestChunkedEngine:
+    """monte_carlo_centroid_stats against the per-trial loop it replaced."""
+
+    @pytest.mark.parametrize("budget", ["default", "small_chunks", "one_trial"])
+    @pytest.mark.parametrize("trials", TRIAL_COUNTS.values(), ids=TRIAL_COUNTS)
+    @pytest.mark.parametrize("graph,m,d,k", ENGINE_GRID)
+    def test_bit_equal_to_per_trial_loop(self, monkeypatch, graph, m, d, k, trials, budget):
+        """At the default budget every count fits one chunk; small_chunks
+        cuts them into chunks of SMALL_CHUNK trials, one_trial into single
+        trials. kNN keeps about half of each row, so the partition, ties
+        (d = 1) and clamped edges are exercised."""
+        chunk_bytes = {"small_chunks": SMALL_CHUNK * trial_bytes(graph, m, d), "one_trial": 1}
+        if budget in chunk_bytes:
+            monkeypatch.setattr(centroids, "EPISODE_CHUNK_BYTES", chunk_bytes[budget])
+        check_against_per_trial_loop(graph, m, d, k, trials, knn_k=max(1, m // 2))
+
+    @pytest.mark.parametrize("at", ["below_chunk", "three_chunks_and_one"])
+    @pytest.mark.parametrize(
+        "graph,m,d", [("complete", 5, 8), ("complete", 20, 8), ("complete", 100, 8), ("knn", 20, 8)]
+    )
+    def test_default_chunks(self, graph, m, d, at):
+        """Whole chunks of the default budget, on the benchmark's shapes."""
+        chunk = default_chunk(graph, m, d)
+        trials = chunk - 1 if at == "below_chunk" else 3 * chunk + 1
+        check_against_per_trial_loop(graph, m, d, 1, trials)
+
+    def test_trial_rows_are_sample_gaussian_class(self):
+        spec = spec_of(5, 3, mu=-2.0, sigma=0.5)
+        children = np.random.SeedSequence(8).spawn(6)
+        block = centroids._draw_trials(spec, children)
+        assert block.shape == (6, 5, 3)
+        for rows, child in zip(block, np.random.SeedSequence(8).spawn(6)):
+            assert rows.tobytes() == sample_gaussian_class(spec, child).tobytes()
+        for rows, child in zip(block, np.random.SeedSequence(8).spawn(6)):
+            assert rows.tobytes() == draw_gaussian_class(spec, child).tobytes()
+
+    @pytest.mark.parametrize("graph,m,d", [("complete", 5, 8), ("knn", 100, 8), ("knn", 200, 1)])
+    def test_chunks_fit_the_budget(self, monkeypatch, graph, m, d):
+        """Each apply_filter call gets as many trials as fit in the budget
+        (rows, and m x m graphs for kNN), and at least one."""
+        stacks = []
+
+        def recording_filter(basis, gains, F):
+            stacks.append(F.shape[0])
+            return apply_filter(basis, gains, F)
+
+        monkeypatch.setattr(centroids, "apply_filter", recording_filter)
+        chunk = default_chunk(graph, m, d)
+        monte_carlo_centroid_stats(spec_of(m, d), graph, 1, 2 * chunk + 1, seed=0)
+        assert stacks == [chunk, chunk, 1]
+        assert chunk == 1 or chunk * trial_bytes(graph, m, d) <= EPISODE_CHUNK_BYTES

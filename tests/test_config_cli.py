@@ -11,6 +11,7 @@ import pytest
 from reference import outcome, per_episode_accuracies
 
 import gfdenoise
+from gfdenoise.centroids import GaussianClassSpec, monte_carlo_centroid_stats
 from gfdenoise.cli import run_cli
 from gfdenoise.config import (
     CONFIG_KEYS,
@@ -21,7 +22,13 @@ from gfdenoise.config import (
 )
 from gfdenoise.data import LabeledFeatures, make_gaussian_pool
 from gfdenoise.denoise import DenoiseConfig, denoise_dataset
-from gfdenoise.episodes import ClassifierConfig, EpisodeSpec, run_fewshot_eval, sweep_shots
+from gfdenoise.episodes import (
+    ClassifierConfig,
+    EpisodeSpec,
+    per_m_seeds,
+    run_fewshot_eval,
+    sweep_shots,
+)
 from gfdenoise.errors import ConfigError
 from gfdenoise.fileio import (
     load_features_binary,
@@ -369,6 +376,55 @@ class TestCliVerifyTheory:
         assert by_m[5]["monte_carlo"]["cov_trace_ratio"] == pytest.approx(0.2, rel=0.25)
         assert "deviation_note" in report
         assert by_m[5]["mean_factor_agrees"] is False
+
+    def _report(self, tmp_path, knn_k):
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text("theory.m_values = 5,8\ntheory.d = 3\n")
+        out = tmp_path / f"theory-{knn_k}.json"
+        code = run_cli([
+            "verify-theory", "--config", str(cfg), "--graph", "knn", "--knn-k", str(knn_k),
+            "--iterations", "40", "--seed", "2", "--out", str(out),
+        ])
+        assert code == 0
+        return load_report(out)
+
+    def test_knn_k_reaches_the_simulation(self, tmp_path):
+        report = self._report(tmp_path, 3)
+        assert report["config"]["denoise"]["knn_k"] == 3
+        for entry, m_seed in zip(report["results"], per_m_seeds(2, [5, 8])):
+            spec = GaussianClassSpec(mu=np.full(3, 1.0), sigma=1.0, m=entry["m"], d=3)
+            stats = monte_carlo_centroid_stats(spec, "knn", k=1, trials=40, seed=m_seed, knn_k=3)
+            for arm, expected in zip(("raw", "filtered"), stats):
+                assert entry["monte_carlo"][arm]["mean_est"] == expected.mean_est.tolist()
+                assert entry["monte_carlo"][arm]["cov_trace_est"] == expected.cov_trace_est
+        # knn_k = 99 clips to m - 1, the complete cosine graph.
+        assert self._report(tmp_path, 99)["results"] != report["results"]
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("theory.d = 0", "theory.d must be >= 1, got 0"),
+            ("theory.sigma = 0", "theory.sigma must be positive and finite, got 0.0"),
+            ("theory.sigma = inf", "theory.sigma must be positive and finite, got inf"),
+            ("theory.mu = nan", "theory.mu must be finite, got nan"),
+            ("theory.k = 0", "theory.k must be >= 1, got 0"),
+            (
+                "theory.k = 7\ntheory.m_values = 5",
+                "theory.k must be <= min(theory.m_values) = 5, got 7",
+            ),
+            ("theory.m_values = 1", "theory.m_values must all be >= 2, got [1]"),
+        ],
+        ids=["d", "sigma_zero", "sigma_inf", "mu_nan", "k_zero", "k_above_m", "m"],
+    )
+    def test_bad_theory_setting_is_config_error(self, tmp_path, capsys, setting, message):
+        cfg = tmp_path / "theory.cfg"
+        cfg.write_text(setting + "\n")
+        out = tmp_path / "theory.json"
+        code = run_cli([
+            "verify-theory", "--config", str(cfg), "--iterations", "5", "--out", str(out),
+        ])
+        assert (code, capsys.readouterr().err) == (2, f"gfdenoise: config error: {message}\n")
+        assert not out.exists()
 
 
 def test_small_class_runs_do_not_import_scipy(tmp_path):

@@ -107,6 +107,19 @@ class TestTextFormat:
         assert list(back.labels) == [label]
         assert back.features.tobytes() == np.array([[1.0, -0.0]]).tobytes()
 
+    def test_zero_columns_rejected_before_writing(self, tmp_path):
+        """A d = 0 row would be written as `label,`, which does not load."""
+        path = tmp_path / "out.csv"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="d=0"):
+            save_features_text(path, LabeledFeatures(np.zeros((2, 0)), ["a", "b"]))
+        assert path.read_text() == "kept\n"
+        # The binary format carries the same matrix.
+        bpath = tmp_path / "out.bin"
+        save_features_binary(bpath, LabeledFeatures(np.zeros((2, 0)), ["a", "b"]))
+        back = load_features_binary(bpath)
+        assert back.features.shape == (2, 0) and list(back.labels) == ["a", "b"]
+
     @pytest.mark.parametrize("text", ["", "\n\n", "# only\n  # comments\n", " \t\r\n"])
     def test_no_data_raises_without_warning(self, tmp_path, text):
         path = tmp_path / "empty.csv"
@@ -340,6 +353,33 @@ class TestBinaryFormat:
             load_features_binary(path)
         assert exc.value.row == 2 and exc.value.line is None
         assert "row 2" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "labels", [["é", "a"], ["日本", "ß", "a"], ["x\u2028y", "", "€uro"]]
+    )
+    def test_utf8_labels_round_trip(self, tmp_path, labels):
+        """Labels are UTF-8 and the label width counts bytes, as the text
+        format carries them."""
+        data = LabeledFeatures(np.arange(len(labels) * 2.0).reshape(-1, 2), labels)
+        path = tmp_path / "utf8.bin"
+        save_features_binary(path, data)
+        back = load_features_binary(path)
+        assert list(back.labels) == labels
+        assert back.features.tobytes() == data.features.tobytes()
+        width = max(len(label.encode("utf-8")) for label in labels)
+        assert path.stat().st_size == 28 + len(labels) * width + data.features.nbytes
+        tpath = tmp_path / "utf8.csv"
+        save_features_text(tpath, data)
+        assert list(load_features_text(tpath).labels) == labels
+
+    def test_ascii_layout_unchanged(self, tmp_path):
+        """An ASCII file reads and writes the same bytes as before."""
+        path = tmp_path / "ascii.bin"
+        save_features_binary(path, LabeledFeatures([[1.5], [2.0]], ["ab", "c"]))
+        header = MAGIC + (2).to_bytes(8, "little") + (1).to_bytes(8, "little")
+        header += (2).to_bytes(4, "little")
+        expected = header + b"abc\0" + np.array([1.5, 2.0], dtype="<f8").tobytes()
+        assert path.read_bytes() == expected
 
     def test_matches_text_loader_contents(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -11,7 +11,6 @@ from gfdenoise.errors import (
 from gfdenoise.graphs import clamp_negative_edges, complete_graph, cosine_similarity, knn_sparsify
 from gfdenoise.spectral import (
     apply_filter,
-    degree_vector,
     eigendecompose,
     gft,
     ideal_lowpass_response,
@@ -36,17 +35,6 @@ def random_knn_graph(rng, n: int) -> np.ndarray:
     F = rng.standard_normal((n, rng.integers(2, 16)))
     k = int(rng.integers(1, n))
     return clamp_negative_edges(knn_sparsify(cosine_similarity(F), k))
-
-
-class TestDegreeVector:
-    def test_path_graph(self):
-        np.testing.assert_allclose(degree_vector(PATH3), [1.0, 2.0, 1.0])
-
-    def test_all_zero(self):
-        np.testing.assert_allclose(degree_vector(np.zeros((2, 2))), [0.0, 0.0])
-
-    def test_complete_graph_degrees_are_m_minus_1(self):
-        np.testing.assert_allclose(degree_vector(complete_graph(4)), [3.0, 3.0, 3.0, 3.0])
 
 
 class TestNormalizedLaplacian:
