@@ -36,7 +36,6 @@ from .spectral import (
     apply_filter,
     eigendecompose,
     gft,
-    ideal_lowpass_response,
     igft,
     lowest_eigenpairs,
     normalized_laplacian,

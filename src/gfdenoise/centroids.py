@@ -17,12 +17,7 @@ import numpy as np
 from .episodes import EPISODE_CHUNK_BYTES
 from .errors import InvalidRange, InvalidSize
 from .graphs import class_graph
-from .spectral import (
-    apply_filter,
-    eigendecompose,
-    ideal_lowpass_response,
-    normalized_laplacian,
-)
+from .spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
 @dataclass(frozen=True)
@@ -131,7 +126,7 @@ def monte_carlo_centroid_stats(
     if knn_k is None:
         knn_k = spec.m - 1
     m, d = spec.m, spec.d
-    gains = ideal_lowpass_response(k, m)
+    gains = step_response(k, k, 0.0, m)  # the ideal rank-k low-pass
     fixed_basis = None
     if graph_kind == "complete":
         # The complete graph does not depend on the sampled features, so

@@ -20,21 +20,23 @@ from .episodes import classify_episode, paired_accuracies, paired_report, per_m_
 from .errors import ConfigError, GfdError
 from .fileio import emit_report, load_features, report_text, save_features
 
-_FLAG_TO_KEY = {
-    "seed": "seed",
-    "iterations": "iterations",
-    "k1": "denoise.k1",
-    "k2": "denoise.k2",
-    "mid_gain": "denoise.mid_gain",
-    "knn_k": "denoise.knn_k",
-    "graph": "denoise.graph",
-    "m_shot": "episode.m_shot",
-    "n_way": "episode.n_way",
-    "q_query": "episode.q_query",
-    "metric": "classifier.metric",
-    "input": "io.input",
-    "out": "io.output",
-    "format": "io.format",
+# Config key -> the flag that overrides it. A flag's value is the raw text
+# of that key, parsed and checked as it would be in a config file.
+FLAGS = {
+    "seed": "--seed",
+    "iterations": "--iterations",
+    "denoise.k1": "--k1",
+    "denoise.k2": "--k2",
+    "denoise.mid_gain": "--mid-gain",
+    "denoise.knn_k": "--knn-k",
+    "denoise.graph": "--graph",
+    "episode.m_shot": "--m-shot",
+    "episode.n_way": "--n-way",
+    "episode.q_query": "--q-query",
+    "classifier.metric": "--metric",
+    "io.input": "--in",
+    "io.output": "--out",
+    "io.format": "--format",
 }
 
 
@@ -52,26 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--iterations", type=int)
-        p.add_argument("--k1", type=int)
-        p.add_argument("--k2", type=int)
-        p.add_argument("--mid-gain", dest="mid_gain", type=float)
-        p.add_argument("--knn-k", dest="knn_k", type=int)
-        p.add_argument("--m-shot", dest="m_shot", type=int)
-        p.add_argument("--n-way", dest="n_way", type=int)
-        p.add_argument("--q-query", dest="q_query", type=int)
-        p.add_argument("--metric", choices=("euclidean", "cosine"))
-        p.add_argument("--graph", choices=("knn", "complete"))
-        p.add_argument("--in", dest="input")
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("text", "bin"))
+        for key, flag in FLAGS.items():
+            p.add_argument(flag, dest=key, metavar=key)
     return parser
 
 
 def load_run_config(ns: argparse.Namespace) -> RunConfig:
     file_settings = parse_config_file(ns.config) if ns.config else {}
-    overrides = {key: getattr(ns, attr) for attr, key in _FLAG_TO_KEY.items()}
+    overrides = {key: getattr(ns, key) for key in FLAGS}
     return build_run_config(ns.mode, file_settings, overrides)
 
 

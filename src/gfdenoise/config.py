@@ -11,8 +11,14 @@ from typing import get_args
 from .denoise import DenoiseConfig
 from .episodes import ClassifierConfig, EpisodeSpec
 from .errors import ConfigError, GfdError, InvalidRange, InvalidSize
+from .fileio import FORMATS
 
 MODES = ("denoise", "eval-fewshot", "eval-standard", "verify-theory")
+# Modes that draw from the seed, and the fewest iterations of the modes
+# that run them: paired_accuracies and monte_carlo_centroid_stats raise
+# below these. denoise uses neither setting and eval-standard no iterations.
+_SEEDED_MODES = ("eval-fewshot", "eval-standard", "verify-theory")
+_MIN_ITERATIONS = {"eval-fewshot": 1, "verify-theory": 2}
 
 # Per-mode overrides of the dataclass defaults, as config-file values.
 _MODE_DEFAULTS = {
@@ -80,6 +86,19 @@ class RunConfig:
     test_path: str | None = None
     fmt: str = "text"
     m_values: tuple[int, ...] | None = None  # episode.m_values sweep, if set
+
+    def __post_init__(self):
+        for m in self.m_values or ():
+            replace(self.episode, m_shot=m)  # each sweep spec passes EpisodeSpec's checks
+        if self.fmt not in FORMATS:
+            raise InvalidRange(f"io.format must be {' or '.join(FORMATS)}, got {self.fmt!r}")
+        if self.mode in _SEEDED_MODES and self.seed < 0:
+            raise InvalidRange(f"seed must be >= 0, got {self.seed}")
+        least = _MIN_ITERATIONS.get(self.mode)
+        if least is not None and self.iterations < least:
+            raise InvalidSize(
+                f"iterations must be >= {least} for {self.mode}, got {self.iterations}"
+            )
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -168,12 +187,14 @@ CONFIG_KEYS = _config_keys()
 
 def build_run_config(mode: str, file_settings: dict, overrides: dict) -> RunConfig:
     """Dataclass defaults, then the mode's defaults, the config file and
-    the CLI overrides (highest precedence last). Unknown keys are
-    rejected."""
+    the CLI overrides (highest precedence last). Settings and overrides
+    map config keys to their raw text, an override to None when unset;
+    every value is parsed by its field's type and checked by the
+    dataclass that owns it. Unknown keys are rejected."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
     settings = {**_MODE_DEFAULTS.get(mode, {}), **file_settings}
-    settings.update((key, str(value)) for key, value in overrides.items() if value is not None)
+    settings.update((key, value) for key, value in overrides.items() if value is not None)
     values = {section: {} for section in (None, *_SECTIONS)}
     for key, value in settings.items():
         if key not in CONFIG_KEYS:
@@ -182,14 +203,9 @@ def build_run_config(mode: str, file_settings: dict, overrides: dict) -> RunConf
         values[section][f.name] = _parse(key, value, f.type)
     try:
         sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items()}
-        cfg = RunConfig(mode=mode, **sections, **values[None])
-        for m in cfg.m_values or ():
-            replace(cfg.episode, m_shot=m)  # each sweep spec passes EpisodeSpec's checks
+        return RunConfig(mode=mode, **sections, **values[None])
     except GfdError as exc:  # invalid ranges surfaced by the dataclasses
         raise ConfigError(str(exc)) from exc
-    if cfg.fmt not in ("text", "bin"):
-        raise ConfigError(f"io.format must be text or bin, got {cfg.fmt!r}")
-    return cfg
 
 
 def config_echo(cfg: RunConfig) -> dict:

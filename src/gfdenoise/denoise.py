@@ -63,7 +63,9 @@ class DenoiseConfig:
         if not 0.0 <= self.mid_gain <= 1.0:
             raise InvalidRange(f"mid_gain must be in [0, 1], got {self.mid_gain}")
         if self.graph_kind not in GRAPH_KINDS:
-            raise InvalidRange(f"graph_kind must be one of {GRAPH_KINDS}")
+            raise InvalidRange(
+                f"graph_kind must be {' or '.join(GRAPH_KINDS)}, got {self.graph_kind!r}"
+            )
 
     def for_class_size(self, m: int) -> "DenoiseConfig":
         """Effective config for a class of m samples: knn_k is clipped to

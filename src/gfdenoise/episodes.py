@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classify import ncm_fit, ncm_predict, nn1_predict, pairwise_distances
+from .classify import METRICS, ncm_fit, ncm_predict, nn1_predict, pairwise_distances
 from .data import LabeledFeatures, class_index_map
 # denoise_dataset is unused here, but perfbench/layertrace.py traces it in this module.
 from .denoise import DenoiseConfig, denoise_dataset, denoise_or_pass  # noqa: F401
@@ -52,8 +52,8 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise InvalidRange(f"classifier kind must be one of {CLASSIFIER_KINDS}")
-        if self.metric not in ("euclidean", "cosine"):
-            raise InvalidRange(f"metric must be euclidean or cosine, got {self.metric!r}")
+        if self.metric not in METRICS:
+            raise InvalidRange(f"metric must be {' or '.join(METRICS)}, got {self.metric!r}")
 
 
 @dataclass(frozen=True)

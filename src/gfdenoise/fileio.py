@@ -37,6 +37,7 @@ import numpy as np
 from .data import LabeledFeatures
 from .errors import BadMagic, InconsistentDimension, NonFiniteValue, ParseError, TruncatedFile
 
+FORMATS = ("text", "bin")
 MAGIC = b"GFDENSE1"
 _HEADER = struct.Struct("<8sQQI")
 # ASCII separators that np.loadtxt strips from a value as whitespace but
@@ -210,8 +211,7 @@ def _jsonable(obj):
 def emit_report(report: dict, path) -> None:
     """Write a report document as JSON (numpy scalars/arrays converted)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(report_text(report) + "\n")
 
 
 def report_text(report: dict) -> str:

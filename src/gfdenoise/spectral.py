@@ -192,10 +192,3 @@ def step_response(k1: int, k2: int, mid_gain: float, n: int) -> np.ndarray:
         raise InvalidRange(f"mid_gain must be in [0, 1], got {mid_gain}")
     idx = np.arange(1, n + 1)
     return np.where(idx <= k1, 1.0, np.where(idx <= k2, float(mid_gain), 0.0))
-
-
-def ideal_lowpass_response(k: int, n: int) -> np.ndarray:
-    """Gain 1 on the k lowest frequencies, 0 elsewhere."""
-    if not 1 <= k <= n:
-        raise InvalidRange(f"need 1 <= k <= n, got k={k} n={n}")
-    return (np.arange(n) < k).astype(np.float64)

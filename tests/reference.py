@@ -9,12 +9,7 @@ from gfdenoise.denoise import denoise_dataset
 from gfdenoise.episodes import classify_episode, sample_episode
 from gfdenoise.errors import GfdError
 from gfdenoise.graphs import class_graph, complete_graph
-from gfdenoise.spectral import (
-    apply_filter,
-    eigendecompose,
-    ideal_lowpass_response,
-    normalized_laplacian,
-)
+from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
 def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, seed):
@@ -45,7 +40,7 @@ def per_trial_centroid_stats(spec, graph_kind, k, trials, seed, knn_k=None):
     graph's shared basis), apply_filter, and its sums added to the totals."""
     if knn_k is None:
         knn_k = spec.m - 1
-    gains = ideal_lowpass_response(k, spec.m)
+    gains = step_response(k, k, 0.0, spec.m)
     fixed_basis = None
     if graph_kind == "complete":
         fixed_basis = eigendecompose(normalized_laplacian(complete_graph(spec.m)))

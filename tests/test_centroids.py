@@ -16,12 +16,7 @@ from gfdenoise.centroids import (
 from gfdenoise.episodes import EPISODE_CHUNK_BYTES
 from gfdenoise.errors import InvalidRange, InvalidSize
 from gfdenoise.graphs import clamp_negative_edges, complete_graph, cosine_similarity, knn_sparsify
-from gfdenoise.spectral import (
-    apply_filter,
-    eigendecompose,
-    ideal_lowpass_response,
-    normalized_laplacian,
-)
+from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
 def complete_basis(m):
@@ -35,7 +30,7 @@ def spec_of(m, d, mu=0.0, sigma=1.0):
 def lowpass_centroid(F, k):
     """Centroid of F after the ideal rank-k low-pass on the complete graph."""
     m = F.shape[0]
-    return centroid(apply_filter(complete_basis(m), ideal_lowpass_response(k, m), F))
+    return centroid(apply_filter(complete_basis(m), step_response(k, k, 0.0, m), F))
 
 
 class TestSampling:

@@ -12,7 +12,7 @@ from reference import outcome, per_episode_accuracies
 
 import gfdenoise
 from gfdenoise.centroids import GaussianClassSpec, monte_carlo_centroid_stats
-from gfdenoise.cli import run_cli
+from gfdenoise.cli import FLAGS, build_parser, load_run_config, run_cli
 from gfdenoise.config import (
     CONFIG_KEYS,
     PoolConfig,
@@ -73,16 +73,16 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "key,default_value,file_value,flag_value,getter",
         [
-            ("seed", "0", "22", 11, lambda c: c.seed),
-            ("iterations", "2000", "75", 50, lambda c: c.iterations),
-            ("denoise.k1", "1", "2", 3, lambda c: c.denoise.k1),
-            ("denoise.k2", "4", "8", 9, lambda c: c.denoise.k2),
-            ("denoise.mid_gain", "0.6", "0.5", 0.4, lambda c: c.denoise.mid_gain),
-            ("denoise.knn_k", "10", "6", 7, lambda c: c.denoise.knn_k),
+            ("seed", "0", "22", "11", lambda c: c.seed),
+            ("iterations", "2000", "75", "50", lambda c: c.iterations),
+            ("denoise.k1", "1", "2", "3", lambda c: c.denoise.k1),
+            ("denoise.k2", "4", "8", "9", lambda c: c.denoise.k2),
+            ("denoise.mid_gain", "0.6", "0.5", "0.4", lambda c: c.denoise.mid_gain),
+            ("denoise.knn_k", "10", "6", "7", lambda c: c.denoise.knn_k),
             ("denoise.graph", "knn", "complete", "knn", lambda c: c.denoise.graph_kind),
-            ("episode.m_shot", "5", "3", 4, lambda c: c.episode.m_shot),
-            ("episode.n_way", "5", "4", 6, lambda c: c.episode.n_way),
-            ("episode.q_query", "15", "7", 9, lambda c: c.episode.q_query),
+            ("episode.m_shot", "5", "3", "4", lambda c: c.episode.m_shot),
+            ("episode.n_way", "5", "4", "6", lambda c: c.episode.n_way),
+            ("episode.q_query", "15", "7", "9", lambda c: c.episode.q_query),
             ("classifier.metric", "cosine", "euclidean", "cosine", lambda c: c.classifier.metric),
             ("io.input", "None", "file.csv", "flag.csv", lambda c: c.input_path),
             ("io.output", "None", "file.out", "flag.out", lambda c: c.output_path),
@@ -99,7 +99,7 @@ class TestConfigFile:
         file_cfg = build_run_config("eval-fewshot", {key: file_value}, {})
         assert str(getter(file_cfg)) == file_value
         flag_cfg = build_run_config("eval-fewshot", {key: file_value}, {key: flag_value})
-        assert str(getter(flag_cfg)) == str(flag_value)
+        assert str(getter(flag_cfg)) == flag_value
 
     def test_mode_defaults_differ(self):
         fewshot = build_run_config("eval-fewshot", {}, {})
@@ -140,6 +140,120 @@ class TestConfigFile:
         assert cfg.classifier.kind == "nn1"
         with pytest.raises(ConfigError):
             build_run_config("eval-fewshot", {"classifier.kind": "svm"}, {})
+
+
+# Per flag-table key: a value other than the default, a bad value, and the
+# exit code of the bad value. A path is any text to the config layer, so a
+# path that cannot be opened fails as a runtime error when the run opens it.
+FLAG_CASES = {
+    "seed": ("7", "x", 2),
+    "iterations": ("3", "0", 2),
+    "denoise.k1": ("2", "x", 2),
+    "denoise.k2": ("6", "1.5", 2),
+    "denoise.mid_gain": ("0.25", "x", 2),
+    "denoise.knn_k": ("3", "0", 2),
+    "denoise.graph": ("complete", "foo", 2),
+    "episode.m_shot": ("2", "0", 2),
+    "episode.n_way": ("3", "1", 2),
+    "episode.q_query": ("4", "x", 2),
+    "classifier.metric": ("euclidean", "foo", 2),
+    "io.input": ("in.csv", "{tmp}/missing.csv", 1),
+    "io.output": ("out.json", "{tmp}/missing/report.json", 1),
+    "io.format": ("bin", "csv", 2),
+}
+
+
+class TestFlagsAreConfigOverrides:
+    """A flag sets its config key's raw text, which is parsed and checked
+    exactly as the same key in a config file."""
+
+    def test_table_keys_and_parser(self):
+        assert set(FLAG_CASES) == set(FLAGS)
+        assert set(FLAGS) <= set(CONFIG_KEYS)
+        modes = next(a for a in build_parser()._actions if a.dest == "mode").choices
+        for mode, sub in modes.items():
+            options = {a.dest: a for a in sub._actions if a.dest != "help"}
+            assert set(options) == {"config", *FLAGS}, mode
+            for key, action in options.items():
+                assert (action.type, action.choices) == (None, None), key
+                if key in FLAGS:
+                    assert action.option_strings == [FLAGS[key]]
+
+    @staticmethod
+    def _file(tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = {value}\n")
+        return str(path)
+
+    @pytest.mark.parametrize("key", list(FLAG_CASES))
+    def test_flag_and_file_take_one_path(self, tmp_path, capsys, key):
+        good, bad, code = FLAG_CASES[key]
+        parse = build_parser().parse_args
+        by_flag = load_run_config(parse(["eval-fewshot", FLAGS[key], good]))
+        config = self._file(tmp_path, key, good)
+        by_file = load_run_config(parse(["eval-fewshot", "--config", config]))
+        assert by_flag == by_file != build_run_config("eval-fewshot", {}, {})
+
+        bad = bad.format(tmp=tmp_path)
+        out = [] if key == "io.output" else ["--out", str(tmp_path / "report.json")]
+        fast = [] if key == "iterations" else ["--iterations", "2"]
+        outcomes = []
+        for setting in ([FLAGS[key], bad], ["--config", self._file(tmp_path, key, bad)]):
+            code_seen = run_cli(["eval-fewshot", *setting, *fast, *out])
+            outcomes.append((code_seen, capsys.readouterr().err))
+            assert not (tmp_path / "report.json").exists()
+        assert outcomes[0] == outcomes[1]
+        exit_code, err = outcomes[0]
+        assert exit_code == code
+        if code == 2:
+            assert err.startswith("gfdenoise: config error: ")
+            assert key.split(".")[-1] in err
+
+    def test_values_parse_as_int_and_float_do(self):
+        parse = build_parser().parse_args
+        assert load_run_config(parse(["eval-fewshot", "--seed", " 7"])).seed == 7
+        assert load_run_config(parse(["denoise", "--seed", "-1"])).seed == -1
+        cfg = load_run_config(parse(["denoise", "--mid-gain", "5e-1", "--k2", " 9 "]))
+        assert (cfg.denoise.mid_gain, cfg.denoise.k2) == (0.5, 9)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval-fewshot", "--seed", "x"], "seed must be an integer, got 'x'"),
+            (["eval-fewshot", "--metric", "foo"], "metric must be euclidean or cosine, got 'foo'"),
+            (["eval-fewshot", "--graph", "foo"], "graph_kind must be knn or complete, got 'foo'"),
+            (["eval-fewshot", "--format", "csv"], "io.format must be text or bin, got 'csv'"),
+            (["eval-fewshot", "--mid-gain", "x"], "denoise.mid_gain must be a number, got 'x'"),
+            (
+                ["verify-theory", "--iterations", "1"],
+                "iterations must be >= 2 for verify-theory, got 1",
+            ),
+            (
+                ["eval-fewshot", "--iterations", "0"],
+                "iterations must be >= 1 for eval-fewshot, got 0",
+            ),
+            (["eval-fewshot", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["eval-standard", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["verify-theory", "--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=[
+            "seed_text", "metric", "graph", "format", "mid_gain_text",
+            "theory_iterations", "fewshot_iterations",
+            "fewshot_seed", "standard_seed", "theory_seed",
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "report.json"
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"gfdenoise: config error: {message}\n"
+        assert not out.exists()
+
+    def test_unused_settings_stay_accepted(self):
+        cfg = build_run_config("denoise", {"seed": "-1", "iterations": "-5"}, {})
+        assert (cfg.seed, cfg.iterations) == (-1, -5)
+        assert build_run_config("eval-standard", {"iterations": "0"}, {}).iterations == 0
+        assert build_run_config("eval-fewshot", {"iterations": "1"}, {}).iterations == 1
+        assert build_run_config("verify-theory", {"iterations": "2"}, {}).iterations == 2
 
 
 class TestCliDenoise:

@@ -13,7 +13,6 @@ from gfdenoise.spectral import (
     apply_filter,
     eigendecompose,
     gft,
-    ideal_lowpass_response,
     igft,
     lowest_eigenpairs,
     normalized_laplacian,
@@ -223,7 +222,7 @@ class TestApplyFilter:
         m = 12
         basis = eigendecompose(normalized_laplacian(complete_graph(m)))
         F = rng.standard_normal((m, 5))
-        out = apply_filter(basis, ideal_lowpass_response(1, m), F)
+        out = apply_filter(basis, step_response(1, 1, 0.0, m), F)
         np.testing.assert_allclose(out, np.tile(F.mean(axis=0), (m, 1)), atol=1e-8)
 
     def test_accepts_1d_signal(self):
@@ -266,12 +265,14 @@ class TestResponses:
             step_response(1, 2, 1.5, 5)
 
     def test_lowpass_shapes(self):
-        np.testing.assert_allclose(ideal_lowpass_response(5, 5), np.ones(5))
-        np.testing.assert_allclose(ideal_lowpass_response(2, 5), [1, 1, 0, 0, 0])
+        # step_response(k, k, 0.0, n) is the ideal rank-k low-pass.
+        for k in range(1, 8):
+            expected = (np.arange(7) < k).astype(np.float64)
+            assert step_response(k, k, 0.0, 7).tobytes() == expected.tobytes()
         with pytest.raises(InvalidRange):
-            ideal_lowpass_response(0, 5)
+            step_response(0, 0, 0.0, 5)
         with pytest.raises(InvalidRange):
-            ideal_lowpass_response(6, 5)
+            step_response(6, 6, 0.0, 5)
 
 
 class TestSpectralProperties:
@@ -297,7 +298,7 @@ class TestSpectralProperties:
         n = 25
         basis = eigendecompose(normalized_laplacian(random_knn_graph(rng, n)))
         F = rng.standard_normal((n, 4))
-        gains = ideal_lowpass_response(7, n)
+        gains = step_response(7, 7, 0.0, n)
         once = apply_filter(basis, gains, F)
         twice = apply_filter(basis, gains, once)
         np.testing.assert_allclose(twice, once, atol=1e-9)
