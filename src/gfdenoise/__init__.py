@@ -4,15 +4,13 @@ from .centroids import (
     CentroidStats,
     GaussianClassSpec,
     analytic_centroid_factors,
-    centroid,
     monte_carlo_centroid_stats,
     sample_gaussian_class,
 )
-from .classify import NcmModel, ncm_fit, ncm_predict, nn1_predict
+from .classify import ClassifierConfig, NcmModel, ncm_fit, ncm_predict, nn1_predict, predict
 from .data import LabeledFeatures, make_gaussian_pool, stratified_split
 from .denoise import DenoiseConfig, denoise_class, denoise_dataset
 from .episodes import (
-    ClassifierConfig,
     Episode,
     EpisodeSpec,
     EvalReport,

@@ -75,11 +75,6 @@ def _draw_trials(spec: GaussianClassSpec, seeds) -> np.ndarray:
     return block
 
 
-def centroid(F: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the feature rows."""
-    return np.asarray(F, dtype=np.float64).mean(axis=0)
-
-
 def analytic_centroid_factors(m: int) -> tuple[float, float]:
     """Closed-form (mean_factor, cov_factor) for the k=1 low-pass on a
     complete graph of m vertices, derived with the constant eigenvector

@@ -5,9 +5,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledFeatures, class_index_map
-from .errors import DimensionMismatch, EmptyClass
+from .errors import DimensionMismatch, EmptyClass, InvalidRange
 
 METRICS = ("euclidean", "cosine")
+CLASSIFIER_KINDS = ("ncm", "nn1")
+
+
+@dataclass(frozen=True)
+class ClassifierConfig:
+    kind: str = "ncm"
+    metric: str = "cosine"
+
+    def __post_init__(self):
+        if self.kind not in CLASSIFIER_KINDS:
+            raise InvalidRange(
+                f"classifier.kind must be {' or '.join(CLASSIFIER_KINDS)}, got {self.kind!r}"
+            )
+        if self.metric not in METRICS:
+            raise InvalidRange(f"metric must be {' or '.join(METRICS)}, got {self.metric!r}")
 
 
 @dataclass
@@ -44,6 +59,23 @@ def pairwise_distances(A: np.ndarray, B: np.ndarray, metric: str) -> np.ndarray:
     if metric == "cosine":
         return 1.0 - _unit_rows(A) @ _unit_rows(B).swapaxes(-1, -2)
     raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+
+
+def predict(support: np.ndarray, class_rows, query: np.ndarray, cfg: ClassifierConfig):
+    """Class position of each query row, (..., q): of its nearest class mean
+    (NCM) or support row (1-NN), the lowest on ties. support is (..., n, d),
+    query (..., q, d); class_rows[c] selects class c's rows (slice or index array)."""
+    if not class_rows:
+        raise EmptyClass("cannot predict from an empty training set")
+    if cfg.kind == "ncm":
+        # np.add.reduce, not np.mean: its per-call overhead shows in the few-shot engine.
+        blocks = [support[..., rows, :] for rows in class_rows]
+        means = np.stack([np.add.reduce(b, axis=-2) / b.shape[-2] for b in blocks], -2)
+        return np.argmin(pairwise_distances(query, means, cfg.metric), axis=-1)
+    owner = np.empty(support.shape[-2], dtype=np.intp)
+    for c, rows in enumerate(class_rows):
+        owner[rows] = c
+    return owner[np.argmin(pairwise_distances(query, support, cfg.metric), axis=-1)]
 
 
 def ncm_fit(train: LabeledFeatures, metric: str = "euclidean") -> NcmModel:

@@ -6,6 +6,7 @@ go to stderr; reports go to the --out path (or stdout when omitted).
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -223,7 +224,9 @@ def run_cli(argv) -> int:
         print(f"gfdenoise: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        _COMMANDS[cfg.mode](cfg)
+        with warnings.catch_warnings():  # one line per warning, without a source location
+            warnings.showwarning = lambda w, *_: sys.stderr.write(f"gfdenoise: warning: {w}\n")
+            _COMMANDS[cfg.mode](cfg)
     except ConfigError as exc:
         print(f"gfdenoise: config error: {exc}", file=sys.stderr)
         return 2

@@ -11,13 +11,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .classify import METRICS, ncm_fit, ncm_predict, nn1_predict, pairwise_distances
+# The ncm_ and nn1_ names are unused here, but perfbench/layertrace.py traces them here.
+from .classify import ClassifierConfig, ncm_fit, ncm_predict, nn1_predict, predict  # noqa: F401
 from .data import LabeledFeatures, class_index_map
 # denoise_dataset is unused here, but perfbench/layertrace.py traces it in this module.
 from .denoise import DenoiseConfig, denoise_dataset, denoise_or_pass  # noqa: F401
-from .errors import InsufficientPool, InvalidRange, InvalidSize, TooFewSamples
+from .errors import InsufficientPool, InvalidSize, TooFewSamples
 
-CLASSIFIER_KINDS = ("ncm", "nn1")
 # paired_accuracies gathers the support and query rows of as many episodes
 # at a time as fit in this many bytes (at least one episode): five 5-way
 # 5-shot 15-query episodes of d = 64. The working set of a chunk is about
@@ -42,18 +42,6 @@ class EpisodeSpec:
             raise InvalidSize(f"n_way must be >= 2, got {self.n_way}")
         if self.m_shot < 1 or self.q_query < 1:
             raise InvalidSize("m_shot and q_query must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    kind: str = "ncm"
-    metric: str = "cosine"
-
-    def __post_init__(self):
-        if self.kind not in CLASSIFIER_KINDS:
-            raise InvalidRange(f"classifier kind must be one of {CLASSIFIER_KINDS}")
-        if self.metric not in METRICS:
-            raise InvalidRange(f"metric must be {' or '.join(METRICS)}, got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -127,23 +115,10 @@ def sample_episode(pool: LabeledFeatures, spec: EpisodeSpec, seed) -> Episode:
 def classify_episode(
     support: LabeledFeatures, query: np.ndarray, cfg: ClassifierConfig
 ) -> np.ndarray:
-    if cfg.kind == "ncm":
-        return ncm_predict(ncm_fit(support, cfg.metric), query)
-    return nn1_predict(support, query, cfg.metric)
-
-
-def _classify_stacked(
-    support: np.ndarray, query: np.ndarray, cfg: ClassifierConfig
-) -> np.ndarray:
-    """classify_episode for stacked episodes: support (..., n_way, m_shot, d)
-    against query (..., n_query, d) gives the class position of each query
-    row's prediction, (..., n_query), with the same tie rules."""
-    if cfg.kind == "ncm":
-        candidates, per_class = support.mean(axis=-2), 1
-    else:
-        candidates = support.reshape(*support.shape[:-3], -1, support.shape[-1])
-        per_class = support.shape[-2]
-    return np.argmin(pairwise_distances(query, candidates, cfg.metric), axis=-1) // per_class
+    """predict's label for each query row; support's classes in label order."""
+    index = class_index_map(support.labels)
+    pred = predict(support.features, list(index.values()), np.asarray(query, np.float64), cfg)
+    return np.asarray(list(index), dtype=np.str_)[pred]
 
 
 def paired_accuracies(
@@ -163,7 +138,7 @@ def paired_accuracies(
     Episodes are evaluated a chunk at a time (see EPISODE_CHUNK_BYTES): the
     chunk's rows are drawn as sample_episode draws them, every support class
     of the chunk is filtered in one denoise_class call, and both arms are
-    classified in one stacked call. Accuracies, and any error raised, are
+    classified in one predict call. Accuracies, and any error raised, are
     those of evaluating the episodes one by one.
     """
     if iterations < 1:
@@ -173,6 +148,7 @@ def paired_accuracies(
     episode_bytes = n_way * (m + spec.q_query) * d * pool.features.itemsize
     chunk = max(1, EPISODE_CHUNK_BYTES // episode_bytes)
     truth = np.arange(n_way).repeat(spec.q_query)
+    class_rows = [slice(c * m, (c + 1) * m) for c in range(n_way)]
     # Spawning a chunk's seeds at a time gives the same seeds as spawning
     # all of them at once, without holding them all.
     master = np.random.SeedSequence(seed)
@@ -190,12 +166,12 @@ def paired_accuracies(
                 break
         if drawn:
             rows = np.stack(drawn)
-            support = pool.features[rows[:, :, :m]]
-            query = pool.features[rows[:, :, m:]].reshape(len(drawn), -1, d)
+            support = pool.features[rows[:, :, :m].reshape(len(drawn), -1)]
+            query = pool.features[rows[:, :, m:].reshape(len(drawn), -1)]
             filtered = denoise_or_pass(
                 support.reshape(-1, m, d), denoise_cfg, "every support class"
             ).reshape(support.shape)
-            pred = _classify_stacked(np.stack([support, filtered]), query, classifier_cfg)
+            pred = predict(np.stack([support, filtered]), class_rows, query, classifier_cfg)
             stop = start + len(drawn)
             acc_raw[start:stop], acc_filt[start:stop] = np.mean(pred == truth, axis=-1)
         if failure is not None:

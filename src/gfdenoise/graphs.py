@@ -82,9 +82,9 @@ def complete_graph(m: int) -> np.ndarray:
     return W
 
 
-def clamp_negative_edges(W: np.ndarray, eps: float = RESTORED_EDGE_WEIGHT) -> np.ndarray:
+def clamp_negative_edges(W: np.ndarray) -> np.ndarray:
     """Clamp negative weights to 0; if that isolates a vertex, restore its
-    single largest original edge with weight eps so degrees stay positive.
+    single largest original edge at RESTORED_EDGE_WEIGHT so degrees stay positive.
     """
     W = np.asarray(W, dtype=np.float64)
     clamped = np.clip(W, 0.0, None)
@@ -96,8 +96,8 @@ def clamp_negative_edges(W: np.ndarray, eps: float = RESTORED_EDGE_WEIGHT) -> np
         if candidates.size == 0:
             continue  # no edge at all in the pattern; Laplacian will reject
         j = candidates[np.argmax(row[candidates])]
-        clamped[(*block, i, j)] = eps
-        clamped[(*block, j, i)] = eps
+        clamped[(*block, i, j)] = RESTORED_EDGE_WEIGHT
+        clamped[(*block, j, i)] = RESTORED_EDGE_WEIGHT
     return clamped
 
 

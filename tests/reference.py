@@ -1,29 +1,40 @@
-"""References the stacked code is compared against: the per-episode loop
+"""References the stacked code is compared against: the label-level
+classifier dispatch that classify.predict replaced, the per-episode loop
 that defines paired_accuracies, the per-trial loop that defines
 monte_carlo_centroid_stats, and the outcome of a call, errors included."""
 
 import numpy as np
 
 from gfdenoise.centroids import CentroidStats
+from gfdenoise.classify import ncm_fit, ncm_predict, nn1_predict
 from gfdenoise.denoise import denoise_dataset
-from gfdenoise.episodes import classify_episode, sample_episode
+from gfdenoise.episodes import sample_episode
 from gfdenoise.errors import GfdError
 from gfdenoise.graphs import class_graph, complete_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
+def classify_labels(support, query, cfg):
+    """The label of each query row, by ncm_fit and ncm_predict or by
+    nn1_predict on the LabeledFeatures support: the per-kind dispatch that
+    predict replaced, kept as its oracle."""
+    if cfg.kind == "ncm":
+        return ncm_predict(ncm_fit(support, cfg.metric), query)
+    return nn1_predict(support, query, cfg.metric)
+
+
 def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, seed):
     """Per-episode query accuracy without and with support filtering,
-    evaluated one episode at a time: sample_episode, classify_episode on the
-    raw support, denoise_dataset, classify_episode on the filtered support."""
+    evaluated one episode at a time: sample_episode, classify_labels on the
+    raw support, denoise_dataset, classify_labels on the filtered support."""
     acc_raw = np.empty(iterations)
     acc_filt = np.empty(iterations)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(iterations)):
         ep = sample_episode(pool, spec, child)
         truth = ep.query.labels
-        pred_raw = classify_episode(ep.support, ep.query.features, classifier_cfg)
+        pred_raw = classify_labels(ep.support, ep.query.features, classifier_cfg)
         filtered = denoise_dataset(ep.support, denoise_cfg)
-        pred_filt = classify_episode(filtered, ep.query.features, classifier_cfg)
+        pred_filt = classify_labels(filtered, ep.query.features, classifier_cfg)
         acc_raw[i] = np.mean(pred_raw == truth)
         acc_filt[i] = np.mean(pred_filt == truth)
     return acc_raw, acc_filt

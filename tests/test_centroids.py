@@ -9,7 +9,6 @@ from gfdenoise.centroids import (
     CentroidStats,
     GaussianClassSpec,
     analytic_centroid_factors,
-    centroid,
     monte_carlo_centroid_stats,
     sample_gaussian_class,
 )
@@ -30,7 +29,7 @@ def spec_of(m, d, mu=0.0, sigma=1.0):
 def lowpass_centroid(F, k):
     """Centroid of F after the ideal rank-k low-pass on the complete graph."""
     m = F.shape[0]
-    return centroid(apply_filter(complete_basis(m), step_response(k, k, 0.0, m), F))
+    return apply_filter(complete_basis(m), step_response(k, k, 0.0, m), F).mean(axis=0)
 
 
 class TestSampling:
@@ -65,21 +64,17 @@ class TestSampling:
 
 
 class TestCentroids:
-    def test_midpoint_and_singleton(self):
-        np.testing.assert_allclose(centroid(np.array([[0.0, 0.0], [2.0, 2.0]])), [1.0, 1.0])
-        np.testing.assert_allclose(centroid(np.array([[3.0, 4.0]])), [3.0, 4.0])
-
     def test_full_filter_preserves_centroid(self):
         rng = np.random.default_rng(2)
         F = rng.standard_normal((6, 3))
-        np.testing.assert_allclose(lowpass_centroid(F, k=6), centroid(F), atol=1e-10)
+        np.testing.assert_allclose(lowpass_centroid(F, k=6), F.mean(axis=0), atol=1e-10)
 
     def test_rank1_on_complete_graph_is_exact_centroid(self):
         # The constant unit eigenvector makes the rank-1 filtered centroid
         # equal the raw centroid.
         rng = np.random.default_rng(3)
         F = rng.standard_normal((8, 5))
-        np.testing.assert_allclose(lowpass_centroid(F, k=1), centroid(F), atol=1e-12)
+        np.testing.assert_allclose(lowpass_centroid(F, k=1), F.mean(axis=0), atol=1e-12)
 
     def test_zero_features(self):
         np.testing.assert_allclose(lowpass_centroid(np.zeros((4, 2)), k=2), np.zeros(2))

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from reference import classify_labels
 
-from gfdenoise.classify import ncm_fit, ncm_predict, nn1_predict
-from gfdenoise.data import LabeledFeatures
+from gfdenoise.classify import ClassifierConfig, ncm_fit, ncm_predict, nn1_predict, predict
+from gfdenoise.data import LabeledFeatures, class_index_map
+from gfdenoise.episodes import classify_episode
 from gfdenoise.errors import DimensionMismatch, EmptyClass
 
 
@@ -125,3 +127,79 @@ class TestClassifierProperties:
         assert np.array_equal(
             nn1_predict(train, query), nn1_predict(shuffled, query)
         )
+
+
+CONFIGS = [
+    ClassifierConfig(kind, metric) for kind in ("ncm", "nn1") for metric in ("cosine", "euclidean")
+]
+CONFIG_IDS = [f"{c.kind}-{c.metric}" for c in CONFIGS]
+
+
+class TestPredict:
+    """classify.predict, the one classifier dispatch, on stacks and on
+    labeled sets."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_stack_equals_blocks_one_at_a_time(self, cfg):
+        rng = np.random.default_rng(7)
+        support = rng.standard_normal((2, 6, 12, 5))
+        query = rng.standard_normal((6, 9, 5))  # shared by both leading blocks
+        class_rows = [slice(0, 3), slice(3, 7), slice(7, 12)]
+        stacked = predict(support, class_rows, query, cfg)
+        assert stacked.shape == (2, 6, 9)
+        for a in range(2):
+            for b in range(6):
+                one = predict(support[a, b], class_rows, query[b], cfg)
+                assert np.array_equal(stacked[a, b], one)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_slices_and_index_arrays_agree(self, cfg):
+        rng = np.random.default_rng(8)
+        support = rng.standard_normal((4, 15, 3))
+        query = rng.standard_normal((4, 20, 3))
+        bounds = [(0, 2), (2, 9), (9, 10), (10, 15)]
+        by_slice = predict(support, [slice(a, b) for a, b in bounds], query, cfg)
+        by_index = predict(support, [np.arange(a, b) for a, b in bounds], query, cfg)
+        assert np.array_equal(by_slice, by_index)
+
+    @pytest.mark.parametrize("d", [1, 2, 7])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_ragged_interleaved_classes_match_reference(self, cfg, d):
+        rng = np.random.default_rng(9 + d)
+        sizes = [1, 4, 11, 2, 9]
+        labels = np.repeat([f"c{i}" for i in range(len(sizes))], sizes)
+        labels = labels[rng.permutation(labels.size)]
+        shift = np.asarray([int(label[1:]) for label in labels], dtype=np.float64)
+        support = LabeledFeatures(rng.standard_normal((labels.size, d)) + shift[:, None], labels)
+        query = rng.standard_normal((60, d)) * 2.0 + 2.0
+        expected = classify_labels(support, query, cfg)
+        assert np.array_equal(classify_episode(support, query, cfg), expected)
+        index = class_index_map(labels)
+        positions = predict(support.features, list(index.values()), query, cfg)
+        assert np.array_equal(np.asarray(list(index))[positions], expected)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_nn1_tie_goes_to_lowest_original_row(self, metric):
+        # Row 0 belongs to class 1 and row 1 to class 0; the query is equally
+        # near both, so row 0 wins and the prediction is class 1.
+        support = np.array([[1.0, 1.0], [1.0, -1.0], [-5.0, 0.0]])
+        class_rows = [np.array([1, 2]), np.array([0])]
+        query = np.array([[1.0, 0.0]])
+        assert predict(support, class_rows, query, ClassifierConfig("nn1", metric))[0] == 1
+        swapped = [np.array([0]), np.array([1, 2])]
+        assert predict(support, swapped, query, ClassifierConfig("nn1", metric))[0] == 0
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_ncm_tie_goes_to_lowest_class(self, metric):
+        # Class 1's rows come first; both class means are equally near the query.
+        support = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        class_rows = [np.array([2]), np.array([0, 1])]
+        query = np.array([[1.0, 0.0]])
+        assert predict(support, class_rows, query, ClassifierConfig("ncm", metric))[0] == 0
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=CONFIG_IDS)
+    def test_no_class_is_empty_class_error(self, cfg):
+        with pytest.raises(EmptyClass):
+            predict(np.empty((0, 2)), [], np.zeros((1, 2)), cfg)
+        with pytest.raises(EmptyClass):
+            classify_episode(LabeledFeatures(np.empty((0, 2)), []), np.zeros((1, 2)), cfg)

@@ -235,14 +235,23 @@ class TestFlagsAreConfigOverrides:
             (["eval-fewshot", "--seed", "-1"], "seed must be >= 0, got -1"),
             (["eval-standard", "--seed", "-1"], "seed must be >= 0, got -1"),
             (["verify-theory", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (
+                ["eval-fewshot", "--config", "classifier.kind = svm"],
+                "classifier.kind must be ncm or nn1, got 'svm'",
+            ),
         ],
         ids=[
             "seed_text", "metric", "graph", "format", "mid_gain_text",
             "theory_iterations", "fewshot_iterations",
-            "fewshot_seed", "standard_seed", "theory_seed",
+            "fewshot_seed", "standard_seed", "theory_seed", "classifier_kind",
         ],
     )
     def test_bad_value_is_config_error(self, tmp_path, capsys, argv, message):
+        if "--config" in argv:  # the argument after --config is the file's text
+            at = argv.index("--config") + 1
+            config = tmp_path / "run.cfg"
+            config.write_text(argv[at] + "\n")
+            argv = [*argv[:at], str(config), *argv[at + 1:]]
         out = tmp_path / "report.json"
         assert run_cli([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"gfdenoise: config error: {message}\n"
@@ -539,6 +548,50 @@ class TestCliVerifyTheory:
         ])
         assert (code, capsys.readouterr().err) == (2, f"gfdenoise: config error: {message}\n")
         assert not out.exists()
+
+
+def _cli_stderr(argv):
+    """Exit code and stderr of `python -m gfdenoise.cli ARGV` in a fresh
+    interpreter, under Python's default warning filters."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfdenoise.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+class TestCliWarnings:
+    """A warning raised while a mode runs is one `gfdenoise: warning:` line,
+    shown once per distinct message, with no source location."""
+
+    def test_one_shot_fewshot(self, tmp_path):
+        src = tmp_path / "pool.csv"
+        save_features_text(src, small_pool())
+        # 700 one-shot episodes span three chunks; each chunk warns.
+        argv = [
+            "eval-fewshot", "--in", str(src), "--n-way", "3", "--m-shot", "1",
+            "--q-query", "3", "--iterations", "700", "--out", str(tmp_path / "r.json"),
+        ]
+        assert _cli_stderr(argv) == (
+            0,
+            "gfdenoise: warning: every support class has fewer than 2 samples; "
+            "passed through unfiltered\n",
+        )
+
+    def test_standard_with_one_row_classes(self, tmp_path):
+        pool = small_pool()
+        src = tmp_path / "pool.csv"
+        save_features_text(src, LabeledFeatures(
+            np.vstack([pool.features, np.ones((2, pool.d))]), [*pool.labels, "solo", "zz"]
+        ))
+        argv = ["eval-standard", "--in", str(src), "--out", str(tmp_path / "r.json")]
+        assert _cli_stderr(argv) == (
+            0,
+            "gfdenoise: warning: class 'solo' has fewer than 2 samples; passed through unfiltered\n"
+            "gfdenoise: warning: class 'zz' has fewer than 2 samples; passed through unfiltered\n",
+        )
 
 
 def test_small_class_runs_do_not_import_scipy(tmp_path):
