@@ -1,5 +1,6 @@
 """Nearest-class-mean and 1-nearest-neighbor classifiers."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,12 @@ from .errors import DimensionMismatch, EmptyClass, InvalidRange
 
 METRICS = ("euclidean", "cosine")
 CLASSIFIER_KINDS = ("ncm", "nn1")
+# predict's 1-NN takes its argmin over blocks of as many query rows as fit
+# in this many bytes of distances (at least one row), so a large query set
+# never holds its whole distance matrix: 163 rows against 3,200 support
+# rows. A few-shot chunk (episodes.EPISODE_CHUNK_BYTES) of default shape
+# fits in one block.
+DISTANCE_BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,13 @@ def predict(support: np.ndarray, class_rows, query: np.ndarray, cfg: ClassifierC
     owner = np.empty(support.shape[-2], dtype=np.intp)
     for c, rows in enumerate(class_rows):
         owner[rows] = c
-    return owner[np.argmin(pairwise_distances(query, support, cfg.metric), axis=-1)]
+    row_bytes = 8 * support.shape[-2] * math.prod(query.shape[:-2])
+    step = max(1, DISTANCE_BLOCK_BYTES // max(row_bytes, 1))
+    nearest = [
+        np.argmin(pairwise_distances(query[..., i:i + step, :], support, cfg.metric), axis=-1)
+        for i in range(0, max(query.shape[-2], 1), step)
+    ]
+    return owner[np.concatenate(nearest, axis=-1)]
 
 
 def ncm_fit(train: LabeledFeatures, metric: str = "euclidean") -> NcmModel:

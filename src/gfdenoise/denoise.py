@@ -3,6 +3,12 @@
 For each class, a similarity graph is built over that class's samples
 only, the step low-pass filter is applied in the graph's eigenbasis, and
 the filtered rows replace the originals. Classes never share a graph.
+
+A class that takes the Lanczos path (see LANCZOS_MIN_ROWS) gets its kNN
+graph from graphs.knn_graph_csr, built a block of rows at a time into a
+sparse array, so no m x m array is held. If Lanczos declines that graph,
+the class is filtered as every other class is: through the dense graph of
+graphs.class_graph and a full eigendecomposition.
 """
 
 import warnings
@@ -12,7 +18,7 @@ import numpy as np
 
 from .data import LabeledFeatures, class_index_map
 from .errors import ClassTooSmall, GfdError, InvalidK, InvalidRange
-from .graphs import class_graph
+from .graphs import class_graph, knn_graph_csr
 from .spectral import (
     apply_filter,
     eigendecompose,
@@ -85,10 +91,11 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     Row order is preserved. When the effective filter passes every
     frequency (k1 clipped to m), the input is returned unchanged without
     building a graph. Large connected kNN graphs with few passed frequencies
-    (see LANCZOS_MIN_ROWS) are solved for only the eigenpairs the filter
-    passes; every other graph, and every stack, gets a full dense
-    eigendecomposition. A stack gives, and raises, what its blocks give
-    one at a time: when it fails, the error is the first failing block's.
+    (see LANCZOS_MIN_ROWS) are built sparse and solved for only the
+    eigenpairs the filter passes; every other graph, and every stack, is
+    built dense and gets a full eigendecomposition. A stack gives, and
+    raises, what its blocks give one at a time: when it fails, the error is
+    the first failing block's.
     """
     F_c = np.asarray(F_c, dtype=np.float64)
     m = F_c.shape[-2]
@@ -110,15 +117,14 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 def _filter(F_c: np.ndarray, eff: DenoiseConfig) -> np.ndarray:
     """denoise_class's filter for a config already clipped to the class size."""
     m = F_c.shape[-2]
-    W = class_graph(F_c, eff.graph_kind, eff.knn_k)
     basis = None
     if (
         F_c.ndim == 2 and eff.graph_kind == "knn"
         and m >= LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR * eff.k2 <= m
     ):
-        basis = lowest_eigenpairs(W, eff.k2)
+        basis = lowest_eigenpairs(knn_graph_csr(F_c, eff.knn_k), eff.k2)
     if basis is None:
-        basis = eigendecompose(normalized_laplacian(W))
+        basis = eigendecompose(normalized_laplacian(class_graph(F_c, eff.graph_kind, eff.knn_k)))
     gains = step_response(eff.k1, eff.k2, eff.mid_gain, basis.eigenvalues.shape[-1])
     return apply_filter(basis, gains, F_c)
 

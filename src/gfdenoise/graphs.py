@@ -3,6 +3,17 @@
 The functions that take arrays act on the last two axes, so a (B, m, d)
 stack of class blocks gives a (B, m, m) stack of graphs, each equal to
 what its block gives alone.
+
+knn_graph_csr builds the same kNN graph as class_graph for one large
+class, a block of rows at a time and straight into a scipy CSR array, so
+no m x m array is held. Each block's similarities are the row-block
+product unit[I] @ unit.T, while cosine_similarity's unit @ unit.T is one
+product that numpy serves with a symmetric rank-k update (SYRK). The two
+can differ in the last bits. With numpy's OpenBLAS on a 2-vCPU x86-64 VM,
+at m = 600..2,000 and d = 8..256, they were often bit-equal; they differed
+by up to 5.6e-16 for blocks of 3 to 327 rows and by up to 1.6e-15 for
+blocks of 1 or 2 rows. Only a similarity within a few ulp of its row's
+k-th largest can therefore be kept by one path and not the other.
 """
 
 import numpy as np
@@ -11,6 +22,10 @@ from .errors import InvalidK, InvalidSize, ZeroVector
 
 # Weight given back to a vertex whose every kept edge was clamped away.
 RESTORED_EDGE_WEIGHT = 1e-6
+# knn_graph_csr computes as many rows of similarities at a time as fit in
+# this many bytes (at least one row): 327 rows of a 1,600-row class, 26 rows
+# of a 20,000-row class. The working set of a block is about three times this.
+GRAPH_BLOCK_BYTES = 4 * 2**20
 
 
 def set_diagonal(A: np.ndarray, value) -> None:
@@ -19,23 +34,61 @@ def set_diagonal(A: np.ndarray, value) -> None:
     A[..., i, i] = value
 
 
+def _unit_rows(F: np.ndarray) -> np.ndarray:
+    """F's rows scaled to unit norm; raises ZeroVector naming the first
+    zero row by its index within its block."""
+    F = np.asarray(F, dtype=np.float64)
+    norms = np.linalg.norm(F, axis=-1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ZeroVector(int(zero[0] % F.shape[-2]))
+    return F / norms[..., None]
+
+
 def cosine_similarity(F: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarities with a structurally zero diagonal.
 
     Raises ZeroVector if any feature row has zero norm, naming the first
     such row by its index within its block.
     """
-    F = np.asarray(F, dtype=np.float64)
-    norms = np.linalg.norm(F, axis=-1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ZeroVector(int(zero[0] % F.shape[-2]))
-    unit = F / norms[..., None]
+    unit = _unit_rows(F)
     S = unit @ unit.swapaxes(-1, -2)
     S = 0.5 * (S + S.swapaxes(-1, -2))
     np.clip(S, -1.0, 1.0, out=S)
     set_diagonal(S, 0.0)
     return S
+
+
+def _top_k(S: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+    """Mask of the k largest entries of each row of S (..., r, n), where row
+    i is vertex first + i and its own column never counts.
+
+    Row i keeps every entry above its k-th largest value t_i and, of the
+    entries equal to t_i, the lowest-column ones up to k. This is the one
+    selection rule of both kNN graph builders.
+    """
+    n = S.shape[-1]
+    rows = np.arange(S.shape[-2])
+    own = (..., rows, first + rows)
+    ranked = S.copy()
+    ranked[own] = -np.inf
+    ranked.partition(n - k, axis=-1)
+    threshold = ranked[..., n - k, None].copy()
+    del ranked
+    keep = S >= threshold
+    keep[own] = False
+    surplus = keep.sum(axis=-1) > k
+    if surplus.any():
+        kept = keep[surplus]
+        tied = kept & (S[surplus] == threshold[surplus])
+        room = k - kept.sum(axis=1) + tied.sum(axis=1)
+        keep[surplus] = kept & (~tied | (np.cumsum(tied, axis=1) <= room[:, None]))
+    return keep
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k < n:
+        raise InvalidK(f"need 1 <= k < n, got k={k} n={n}")
 
 
 def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
@@ -47,28 +100,12 @@ def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
     construction. Off-diagonal entries must be finite.
     """
     S = np.asarray(S, dtype=np.float64)
-    n = S.shape[-1]
-    if not 1 <= k < n:
-        raise InvalidK(f"need 1 <= k < n, got k={k} n={n}")
-    if k == n - 1:  # every off-diagonal entry is among its row's k largest
+    _check_k(k, S.shape[-1])
+    if k == S.shape[-1] - 1:  # every off-diagonal entry is among its row's k largest
         W = S.copy()
         set_diagonal(W, 0.0)
         return W
-    # Row i keeps every entry above its k-th largest off-diagonal value t_i
-    # and, of the entries equal to t_i, the lowest-column ones up to k.
-    ranked = S.copy()
-    set_diagonal(ranked, -np.inf)
-    ranked.partition(n - k, axis=-1)
-    threshold = ranked[..., n - k, None].copy()
-    del ranked
-    keep = S >= threshold
-    set_diagonal(keep, False)
-    surplus = keep.sum(axis=-1) > k
-    if surplus.any():
-        rows = keep[surplus]
-        tied = rows & (S[surplus] == threshold[surplus])
-        room = k - rows.sum(axis=1) + tied.sum(axis=1)
-        keep[surplus] = rows & (~tied | (np.cumsum(tied, axis=1) <= room[:, None]))
+    keep = _top_k(S, k)
     keep |= keep.swapaxes(-1, -2)
     return np.where(keep, S, 0.0)
 
@@ -98,6 +135,59 @@ def clamp_negative_edges(W: np.ndarray) -> np.ndarray:
         j = candidates[np.argmax(row[candidates])]
         clamped[(*block, i, j)] = RESTORED_EDGE_WEIGHT
         clamped[(*block, j, i)] = RESTORED_EDGE_WEIGHT
+    return clamped
+
+
+def knn_graph_csr(F: np.ndarray, k: int):
+    """clamp_negative_edges(knn_sparsify(cosine_similarity(F), k)) for one
+    m x d class, as an exactly symmetric scipy CSR array with sorted
+    indices and no explicit zeros, built without any m x m array.
+
+    Rows are taken GRAPH_BLOCK_BYTES at a time: each block's similarities
+    are clipped to [-1, 1] and each row keeps its k largest by knn_sparsify's
+    rule. A pair kept by either of its rows is an edge (union rule), weighted
+    by the similarity its lower-indexed vertex's row computed when that row
+    kept it, else by the other row's (see the module docstring). Negative
+    weights are then clamped and edges restored on the CSR array as
+    clamp_negative_edges does on a dense one.
+    """
+    from scipy import sparse
+
+    unit = _unit_rows(F)
+    m = unit.shape[0]
+    _check_k(k, m)
+    step = max(1, GRAPH_BLOCK_BYTES // (8 * m))
+    rows, cols, vals = [], [], []
+    for first in range(0, m, step):
+        S = unit[first:first + step] @ unit.T
+        np.clip(S, -1.0, 1.0, out=S)
+        kept = np.flatnonzero(_top_k(S, k, first))
+        rows.append(kept // m + first)
+        cols.append(kept % m)
+        vals.append(S.ravel()[kept])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    # Kept entries come in row order, so each pair's first is its
+    # lower-indexed row's when that row kept it.
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    first = np.unique(lo * m + hi, return_index=True)[1]
+    lo, hi, vals = lo[first], hi[first], vals[first]
+    W = sparse.csr_array(
+        (np.concatenate([vals, vals]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(m, m),
+    )
+    W.sum_duplicates()  # sorts each row's indices; every pair is already unique
+    W.eliminate_zeros()
+    clamped = W.copy()
+    np.clip(clamped.data, 0.0, None, out=clamped.data)
+    ptr, idx = W.indptr, W.indices
+    for i in np.flatnonzero(clamped.sum(axis=1) == 0.0):
+        if ptr[i] == ptr[i + 1]:
+            continue  # no edge at all in the pattern; Laplacian will reject
+        at = ptr[i] + np.argmax(W.data[ptr[i]:ptr[i + 1]])
+        j = idx[at]
+        back = ptr[j] + np.searchsorted(idx[ptr[j]:ptr[j + 1]], i)
+        clamped.data[[at, back]] = RESTORED_EDGE_WEIGHT
+    clamped.eliminate_zeros()
     return clamped
 
 

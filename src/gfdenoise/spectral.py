@@ -95,6 +95,7 @@ def _conventional_basis(lam: np.ndarray, U: np.ndarray) -> SpectralBasis:
 def lowest_eigenpairs(W: np.ndarray, k: int) -> SpectralBasis | None:
     """The k lowest eigenpairs of W's normalized Laplacian, or None when
     W's graph has more than one connected component or Lanczos fails.
+    W is a dense array or a scipy sparse array or matrix.
 
     Implicitly restarted Lanczos (ARPACK) finds the k largest eigenvalues
     mu of the sparse normalized adjacency D^{-1/2} W D^{-1/2}; the
@@ -110,13 +111,16 @@ def lowest_eigenpairs(W: np.ndarray, k: int) -> SpectralBasis | None:
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import ArpackError, eigsh
 
-    W = np.asarray(W, dtype=np.float64)
+    if not sparse.issparse(W):
+        W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
         raise DimensionMismatch(f"adjacency must be square, got shape {W.shape}")
     n = W.shape[0]
     if not 1 <= k < n:
         raise InvalidRange(f"need 1 <= k < n, got k={k} n={n}")
-    A = sparse.csr_array(W)
+    A = sparse.csr_array(W, dtype=np.float64, copy=True)
+    # connected_components counts an explicit 0.0 as an edge.
+    A.eliminate_zeros()
     if not abs(A - A.T).max() <= 1e-12:  # written so that NaN fails too
         raise ValueError("adjacency must be symmetric")
     if np.any(A.diagonal() != 0.0):

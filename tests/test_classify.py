@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from reference import classify_labels
 
+from gfdenoise import classify
 from gfdenoise.classify import ClassifierConfig, ncm_fit, ncm_predict, nn1_predict, predict
 from gfdenoise.data import LabeledFeatures, class_index_map
 from gfdenoise.episodes import classify_episode
@@ -188,6 +189,26 @@ class TestPredict:
         assert predict(support, class_rows, query, ClassifierConfig("nn1", metric))[0] == 1
         swapped = [np.array([0]), np.array([1, 2])]
         assert predict(support, swapped, query, ClassifierConfig("nn1", metric))[0] == 0
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_nn1_query_blocks_match_one_block(self, monkeypatch, metric, block_rows):
+        rng = np.random.default_rng(11)
+        support = rng.standard_normal((2, 12, 4))
+        # Rows 9 and 11 (class 2) repeat row 2 (class 0); a query equal to
+        # them is nearest to all three, and row 2, the lowest, must win.
+        support[:, [9, 11]] = support[:, [2]]
+        query = rng.standard_normal((2, 20, 4))
+        query[:, ::4] = support[:, [2]]
+        class_rows = [slice(0, 4), slice(4, 9), np.arange(9, 12)]
+        cfg = ClassifierConfig("nn1", metric)
+        one_block = predict(support, class_rows, query, cfg)
+        monkeypatch.setattr(classify, "DISTANCE_BLOCK_BYTES", 8 * 2 * 12 * block_rows)
+        blocked = predict(support, class_rows, query, cfg)
+        assert np.array_equal(blocked, one_block)
+        assert np.all(blocked[:, ::4] == 0)
+        for b in range(2):
+            assert np.array_equal(predict(support[b], class_rows, query[b], cfg), one_block[b])
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_ncm_tie_goes_to_lowest_class(self, metric):

@@ -1,11 +1,23 @@
 """Per-class denoising pipeline tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gfdenoise.denoise
+from gfdenoise import graphs
 from gfdenoise.data import LabeledFeatures
-from gfdenoise.denoise import DenoiseConfig, SmallClassWarning, denoise_class, denoise_dataset
+from gfdenoise.denoise import (
+    LANCZOS_MIN_ROWS,
+    LANCZOS_ROWS_PER_PAIR,
+    DenoiseConfig,
+    SmallClassWarning,
+    denoise_class,
+    denoise_dataset,
+)
 from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange
 from gfdenoise.graphs import class_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
@@ -167,6 +179,42 @@ class TestSolverPaths:
         out = denoise_class(F, cfg)
         assert solver_calls == [("eigendecompose", True)]
         assert np.array_equal(out, dense_reference(F, cfg)[0])
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(LANCZOS_MIN_ROWS, 1200), st.integers(0, 2**32 - 1), st.data())
+    def test_streamed_graph_filters_like_the_dense_path(self, m, seed, data):
+        rng = np.random.default_rng(seed)
+        F = gaussian_class(rng, m, data.draw(st.sampled_from([16, 64, 128])), mu=0.3)
+        copies = data.draw(st.integers(0, m // 4), label="duplicated rows")
+        F[rng.choice(m, copies, replace=False)] = F[rng.integers(0, m, copies)]
+        k2 = data.draw(st.integers(2, m // LANCZOS_ROWS_PER_PAIR), label="k2")
+        k1 = data.draw(st.integers(1, k2 - 1), label="k1")
+        cfg = DenoiseConfig(knn_k=data.draw(st.integers(3, 15)), k1=k1, k2=k2, mid_gain=0.6)
+        expected, basis = dense_reference(F, cfg)
+        assume(np.all(np.diff(basis.eigenvalues)[[k1 - 1, k2 - 1]] > 1e-4))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * m * data.draw(st.integers(1, m // 3)))
+            # Copied rows tie; the two graphs may break a tie at a row's
+            # k-th largest apart (test_graphs.py), and then filter apart.
+            W = graphs.knn_graph_csr(F, cfg.knn_k).toarray()
+            assume(np.array_equal(W != 0.0, class_graph(F, "knn", cfg.knn_k) != 0.0))
+            out = denoise_class(F, cfg)
+        assert np.max(np.abs(out - expected)) <= 1e-9
+
+    def test_streamed_class_holds_no_m_by_m_array(self, solver_calls):
+        import scipy.sparse.csgraph  # noqa: F401  imported first: module import is not class memory
+        import scipy.sparse.linalg  # noqa: F401
+
+        m = 2000
+        F = gaussian_class(np.random.default_rng(34), m, 128, mu=0.3)
+        tracemalloc.start()
+        try:
+            denoise_class(F, DenoiseConfig(knn_k=10, k1=20, k2=55))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver_calls == [("lowest_eigenpairs", True)]
+        assert peak < m * m * 8
 
 
 class TestDenoiseDataset:

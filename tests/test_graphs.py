@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfdenoise import graphs
 from gfdenoise.errors import InvalidK, InvalidSize, ZeroVector
 from gfdenoise.graphs import (
     clamp_negative_edges,
     complete_graph,
     cosine_similarity,
+    knn_graph_csr,
     knn_sparsify,
 )
 
@@ -195,3 +197,114 @@ class TestClampNegativeEdges:
     def test_positive_graph_untouched(self):
         W = complete_graph(4) * 0.7
         np.testing.assert_allclose(clamp_negative_edges(W), W)
+
+
+# Similarities within this distance of a row's k-th largest may be kept by
+# one graph builder and not the other (see the gfdenoise.graphs docstring).
+ULP_SLACK = 16 * np.finfo(np.float64).eps
+
+
+def unstable_vertices(S: np.ndarray, k: int) -> np.ndarray:
+    """Vertices whose row of the dense kNN graph could change if S moved by
+    ULP_SLACK: a row where a similarity other than its k-th largest t_i lies
+    within ULP_SLACK of t_i (an exact tie included, since the other product
+    need not tie), the other end of each such similarity, and any vertex
+    with a similarity near 0, where clamping could go either way."""
+    ranked = S.copy()
+    np.fill_diagonal(ranked, -np.inf)
+    t = -np.partition(-ranked, k - 1, axis=1)[:, k - 1, None]
+    near = np.abs(S - t) <= ULP_SLACK
+    np.fill_diagonal(near, False)
+    unsure = near & (near.sum(axis=1, keepdims=True) > 1)
+    unsure |= unsure.T
+    zero = np.abs(S) <= ULP_SLACK
+    np.fill_diagonal(zero, False)
+    return unsure.any(axis=1) | zero.any(axis=1)
+
+
+@st.composite
+def classes(draw, max_rows: int = 2000):
+    """(F, exact): feature rows, and whether every cosine similarity of them
+    is computed exactly in any summation order.
+
+    Rows are Gaussian; or copies of a few Gaussian directions, so that many
+    similarities tie; or, exactly, rows of four entries +-1 (norm 2), whose
+    similarities are multiples of 1/4 and tie all the more. Rows other than
+    Gaussian ones are scaled by powers of two, which leaves their unit
+    vectors bit for bit the same.
+    """
+    m = draw(st.integers(2, max_rows))
+    d = draw(st.sampled_from([4, 8, 64, 128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "directions", "exact"]))
+    if kind == "gaussian":
+        return rng.standard_normal((m, d)) + draw(st.sampled_from([0.0, 0.5])), False
+    pool = rng.standard_normal((draw(st.integers(1, 6)), d))
+    if kind == "exact":
+        pool = np.zeros((draw(st.integers(1, 20)), d))
+        for row in pool:
+            row[rng.choice(d, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    F = pool[rng.integers(0, len(pool), m)] * 2.0 ** rng.integers(-3, 4, m)[:, None]
+    return F, kind == "exact"
+
+
+class TestKnnGraphCsr:
+    @settings(max_examples=60, deadline=None)
+    @given(classes(), st.data())
+    def test_matches_dense_graph_away_from_thresholds(self, F_exact, data):
+        F, exact = F_exact
+        m = F.shape[0]
+        k = data.draw(st.integers(1, m - 1), label="k")
+        block_rows = data.draw(st.integers(1, m), label="block_rows")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * m * block_rows)
+            W = knn_graph_csr(F, k)
+        assert W.has_sorted_indices and np.all(W.data > 0.0)
+        assert np.all(W.diagonal() == 0.0)
+        Wd = W.toarray()
+        assert np.array_equal(Wd, Wd.T)
+        S = cosine_similarity(F)
+        dense = clamp_negative_edges(knn_sparsify(S, k))
+        if exact:  # the tie rule, and everything else, must match bit for bit
+            assert np.array_equal(Wd, dense)
+            return
+        sure = ~unstable_vertices(S, k)
+        pairs = np.ix_(sure, sure)
+        assert np.array_equal(Wd[pairs] != 0.0, dense[pairs] != 0.0)
+        np.testing.assert_allclose(Wd[pairs], dense[pairs], rtol=0.0, atol=ULP_SLACK)
+
+    def test_gaussian_class_is_compared_almost_everywhere(self, monkeypatch):
+        monkeypatch.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * 600 * 70)
+        F = np.random.default_rng(40).standard_normal((600, 64)) + 0.3
+        S = cosine_similarity(F)
+        sure = ~unstable_vertices(S, 10)
+        assert np.count_nonzero(sure) >= 594
+        pairs = np.ix_(sure, sure)
+        W = knn_graph_csr(F, 10).toarray()
+        dense = clamp_negative_edges(knn_sparsify(S, 10))
+        assert np.array_equal(W[pairs] != 0.0, dense[pairs] != 0.0)
+
+    def test_restores_the_strongest_edge_of_an_isolated_vertex(self, monkeypatch):
+        # Row 0 points away from rows 1-4, so both its kept edges are
+        # negative. Rows 1 and 2 are equal and nearest to it; row 0 gets
+        # back its edge to row 1, the lower column of the tie.
+        monkeypatch.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * 5 * 2)
+        F = np.array([[-1.0, 0.0], [1.0, 0.5], [1.0, 0.5], [1.0, 0.1], [1.0, 0.2]])
+        W = knn_graph_csr(F, 2).toarray()
+        assert W[0, 1] == W[1, 0] == graphs.RESTORED_EDGE_WEIGHT
+        assert W[0, 2] == W[0, 3] == W[0, 4] == 0.0
+        expected = clamp_negative_edges(knn_sparsify(cosine_similarity(F), 2))
+        assert np.array_equal(W != 0.0, expected != 0.0)
+        np.testing.assert_allclose(W, expected, rtol=0.0, atol=ULP_SLACK)
+
+    def test_same_errors_as_dense_graph(self):
+        F = np.ones((5, 3))
+        F[3] = 0.0
+        with pytest.raises(ZeroVector) as dense:
+            cosine_similarity(F)
+        with pytest.raises(ZeroVector) as streamed:
+            knn_graph_csr(F, 2)
+        assert str(streamed.value) == str(dense.value)
+        for k in (0, 5):
+            with pytest.raises(InvalidK):
+                knn_graph_csr(np.ones((5, 3)), k)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gfdenoise.errors import (
     DimensionMismatch,
@@ -159,6 +160,29 @@ class TestLowestEigenpairs:
             lowest_eigenpairs(W, 2)
         assert type(partial.value) is type(dense.value)
         assert str(partial.value) == str(dense.value)
+
+    @pytest.mark.parametrize("W,error", invalid_adjacencies())
+    def test_csr_input_raises_the_dense_errors(self, W, error):
+        with pytest.raises(error) as dense:
+            lowest_eigenpairs(W, 2)
+        with pytest.raises(error) as csr:
+            lowest_eigenpairs(sparse.csr_array(W), 2)
+        assert type(csr.value) is type(dense.value)
+        assert str(csr.value) == str(dense.value)
+
+    def test_csr_input_matches_dense_input(self):
+        W = random_knn_graph(np.random.default_rng(14), 40)
+        dense, csr = lowest_eigenpairs(W, 5), lowest_eigenpairs(sparse.csr_array(W), 5)
+        assert np.array_equal(csr.eigenvalues, dense.eigenvalues)
+        assert np.array_equal(csr.eigenvectors, dense.eigenvectors)
+
+    def test_explicit_zero_is_not_an_edge(self):
+        # Paths 0-1 and 2-3, bridged only by a stored 0.0 between 1 and 2.
+        rows, cols = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
+        W = sparse.csr_array(([1.0, 1.0, 0.0, 0.0, 1.0, 1.0], (rows, cols)), shape=(4, 4))
+        assert W.nnz == 6
+        assert lowest_eigenpairs(W, 1) is None
+        assert W.nnz == 6, "the caller's array is left as it was"
 
     def test_partial_basis_filters_with_one_gain_per_pair(self):
         rng = np.random.default_rng(13)
