@@ -90,7 +90,10 @@ def _cmd_denoise(cfg: RunConfig) -> None:
     if cfg.input_path is None or cfg.output_path is None:
         raise ConfigError("denoise requires --in and --out")
     data = load_features(cfg.input_path, cfg.fmt)
-    save_features(cfg.output_path, denoise_dataset(data, cfg.denoise), cfg.fmt)
+    # Filtered in place: the loaded matrix is the only copy of the data.
+    save_features(
+        cfg.output_path, denoise_dataset(data, cfg.denoise, out=data.features), cfg.fmt
+    )
 
 
 def _cmd_eval_fewshot(cfg: RunConfig) -> None:
@@ -118,6 +121,7 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
         train, test = data, load_features(cfg.test_path, cfg.fmt)
     else:
         train, test = stratified_split(data, test_fraction=0.2, seed=cfg.seed)
+    del data  # a split copies its rows, so the pool is freed before the 1-NN peak
     filtered_train = denoise_dataset(train, cfg.denoise)
     acc_raw, acc_filt = (
         float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))

@@ -36,8 +36,11 @@ class LabeledFeatures:
 def class_index_map(labels: np.ndarray) -> dict[str, np.ndarray]:
     """Row indices per class, keyed by label in sorted order; indices keep
     the original row order."""
-    labels = np.asarray(labels, dtype=np.str_)
-    return {str(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+    classes, inverse = np.unique(np.asarray(labels, dtype=np.str_), return_inverse=True)
+    # A stable sort by class keeps each class's rows in row order.
+    rows = np.argsort(inverse, kind="stable")
+    ends = np.cumsum(np.bincount(inverse, minlength=classes.size))
+    return dict(zip(classes.tolist(), np.split(rows, ends[:-1])))
 
 
 def make_gaussian_pool(

@@ -143,13 +143,27 @@ def denoise_or_pass(F: np.ndarray, cfg: DenoiseConfig, name: str) -> np.ndarray:
     return denoise_class(F, cfg)
 
 
-def denoise_dataset(data: LabeledFeatures, cfg: DenoiseConfig) -> LabeledFeatures:
+def denoise_dataset(
+    data: LabeledFeatures, cfg: DenoiseConfig, out: np.ndarray | None = None
+) -> LabeledFeatures:
     """Apply denoise_class independently to every class of a dataset.
 
     Labels and row order are unchanged. Classes with a single sample are
     passed through unfiltered (see denoise_or_pass) instead of failing.
+
+    Each class's filtered rows are written into `out`, an n x d float64
+    array that the result wraps: a fresh array by default, so `data` is
+    left as it was. `out=data.features` filters the dataset in place and
+    holds no second copy of it; every class is read before its rows are
+    overwritten, since denoise_or_pass returns a new array. A class whose
+    rows are contiguous is read through a slice view, any other through a
+    gather. When a class fails, its error is raised and `out` is left
+    partly written: the classes before it in label order are written, the
+    rest are not.
     """
-    out = data.features.copy()
+    if out is None:
+        out = np.empty_like(data.features)
     for label, idx in class_index_map(data.labels).items():
-        out[idx] = denoise_or_pass(data.features[idx], cfg, f"class {label!r}")
+        rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+        out[rows] = denoise_or_pass(data.features[rows], cfg, f"class {label!r}")
     return LabeledFeatures(features=out, labels=data.labels.copy())

@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class GfdError(Exception):
     """Base class for all errors raised by gfdenoise."""
+
+    def __reduce__(self):
+        # Rebuild from the stored message and fields without calling
+        # __init__, whose arguments (an index or line, say) are not args,
+        # so that pickling and copying keep the type, message and fields.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DimensionMismatch(GfdError):

@@ -21,6 +21,10 @@ Binary format (all integers little-endian):
     28      n*width   labels, UTF-8 zero-padded to label_width
     ...     n*d*8     features, IEEE-754 float64, row-major
 
+Binary I/O holds no copy of the feature payload: load_features_binary
+reads it straight into the array it returns, and save_features_binary
+writes it from the array's own buffer.
+
 Both loaders reject NaN and infinite feature values.
 
 Reports are JSON documents; emit_report/load_report round-trip floats
@@ -149,18 +153,20 @@ def save_features_text(path, data: LabeledFeatures) -> None:
 
 
 def save_features_binary(path, data: LabeledFeatures) -> None:
-    encoded = [str(label).encode("utf-8") for label in data.labels]
-    width = max([len(b) for b in encoded] or [1])
-    width = max(width, 1)
+    """Write the binary format. The labels are encoded into one array of
+    zero-padded records (at least 1 byte wide), and each block is written
+    from its array's own buffer; the features are copied only when they are
+    not C-contiguous little-endian float64."""
+    labels = np.char.encode(data.labels, "utf-8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, data.n, data.d, width))
-        for b in encoded:
-            fh.write(b.ljust(width, b"\0"))
-        fh.write(np.ascontiguousarray(data.features, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(MAGIC, data.n, data.d, labels.itemsize))
+        fh.write(labels)
+        fh.write(np.ascontiguousarray(data.features, dtype="<f8"))
 
 
 def load_features_binary(path) -> LabeledFeatures:
-    """Read the binary format; bit-exact inverse of save_features_binary."""
+    """Read the binary format; bit-exact inverse of save_features_binary.
+    The features are read straight into the returned array."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -171,8 +177,8 @@ def load_features_binary(path) -> LabeledFeatures:
         label_block = fh.read(n * width)
         if len(label_block) < n * width:
             raise TruncatedFile("label block shorter than header implies")
-        payload = fh.read(n * d * 8)
-        if len(payload) < n * d * 8:
+        features = np.empty((n, d), dtype="<f8")
+        if fh.readinto(features) < features.nbytes:
             raise TruncatedFile("feature payload shorter than header implies")
         if fh.read(1):
             raise TruncatedFile("trailing bytes after feature payload")
@@ -180,7 +186,6 @@ def load_features_binary(path) -> LabeledFeatures:
         label_block[i * width : (i + 1) * width].rstrip(b"\0").decode("utf-8")
         for i in range(n)
     ]
-    features = np.frombuffer(payload, dtype="<f8").reshape(n, d).copy()
     _check_finite(features)
     return LabeledFeatures(features=features, labels=np.asarray(labels))
 

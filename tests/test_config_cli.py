@@ -31,9 +31,11 @@ from gfdenoise.episodes import (
 )
 from gfdenoise.errors import ConfigError
 from gfdenoise.fileio import (
+    load_features,
     load_features_binary,
     load_features_text,
     load_report,
+    save_features,
     save_features_text,
 )
 
@@ -301,6 +303,30 @@ class TestCliDenoise:
         code = run_cli(["denoise", "--in", str(src), "--out", str(tmp_path / "out.csv")])
         assert code == 1
         assert "line 5: non-finite feature value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_in_place_output_matches_library(self, tmp_path, fmt):
+        """The CLI filters the loaded matrix in place; its file is the one
+        the library writes from a fresh output, for interleaved classes too."""
+        pool = small_pool()
+        order = np.random.default_rng(3).permutation(pool.n)
+        for name, data in (("contiguous", pool),
+                           ("interleaved", LabeledFeatures(pool.features[order], pool.labels[order]))):
+            src, dst, ref = (tmp_path / f"{name}-{kind}" for kind in ("in", "out", "ref"))
+            save_features(src, data, fmt)
+            argv = ["denoise", "--format", fmt, "--in", str(src), "--out", str(dst),
+                    "--knn-k", "4", "--k1", "2", "--k2", "5"]
+            assert run_cli(argv) == 0
+            cfg = DenoiseConfig(knn_k=4, k1=2, k2=5)
+            save_features(ref, denoise_dataset(load_features(src, fmt), cfg), fmt)
+            assert dst.read_bytes() == ref.read_bytes()
+
+    def test_failing_class_exits_1_without_output(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("a,1,2\na,2,1\na,1,1\nb,0,0\nb,2,2\nb,3,1\n")
+        assert run_cli(["denoise", "--in", str(src), "--out", str(dst), "--knn-k", "1"]) == 1
+        assert "zero norm" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_missing_paths_is_config_error(self):
         assert run_cli(["denoise", "--k1", "1"]) == 2

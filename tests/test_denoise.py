@@ -1,6 +1,7 @@
 """Per-class denoising pipeline tests."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gfdenoise.denoise import (
     denoise_class,
     denoise_dataset,
 )
-from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange
+from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange, ZeroVector
 from gfdenoise.graphs import class_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
@@ -279,3 +280,92 @@ class TestDenoiseDataset:
         filt_trace = np.vstack(filt_rows).var(axis=0, ddof=1).sum()
         assert raw_trace == pytest.approx(d, rel=0.10)
         assert filt_trace == pytest.approx(d / m, rel=0.10)
+
+
+# Labels of 12 rows: contiguous classes (read as views), interleaved ones
+# (gathered), and 1-row classes mixed into both.
+LAYOUTS = {
+    "contiguous": ["a"] * 5 + ["b"] * 4 + ["c"] * 3,
+    "interleaved": ["b", "a", "b", "a", "c", "a", "b", "c", "a", "c", "b", "a"],
+    "one-row": ["x", "a", "a", "a", "a", "y", "b", "b", "b", "b", "b", "z"],
+}
+
+
+def warning_lines(record):
+    return [(w.category, str(w.message)) for w in record]
+
+
+class TestDenoiseDatasetMemory:
+    """denoise_dataset writes each class into `out`: a fresh array by
+    default, the loaded matrix itself when that is passed."""
+
+    CFG = DenoiseConfig(knn_k=2, k1=1, k2=2)
+
+    def dataset(self, layout, seed=11):
+        labels = LAYOUTS[layout]
+        F = gaussian_class(np.random.default_rng(seed), len(labels), 3)
+        return LabeledFeatures(F, labels)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_default_leaves_input_untouched(self, layout):
+        data = self.dataset(layout)
+        before = data.features.copy(), data.labels.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallClassWarning)
+            out = denoise_dataset(data, self.CFG)
+        assert data.features.tobytes() == before[0].tobytes()
+        assert list(data.labels) == list(before[1])
+        assert not np.shares_memory(out.features, data.features)
+        assert not np.shares_memory(out.labels, data.labels)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_in_place_matches_default_bit_exactly(self, layout):
+        data = self.dataset(layout)
+        with warnings.catch_warnings(record=True) as fresh_warnings:
+            warnings.simplefilter("always")
+            fresh = denoise_dataset(data, self.CFG)
+        with warnings.catch_warnings(record=True) as in_place_warnings:
+            warnings.simplefilter("always")
+            in_place = denoise_dataset(data, self.CFG, out=data.features)
+        assert in_place.features is data.features
+        assert in_place.features.tobytes() == fresh.features.tobytes()
+        assert list(in_place.labels) == LAYOUTS[layout]
+        assert warning_lines(in_place_warnings) == warning_lines(fresh_warnings)
+        if layout == "one-row":
+            assert warning_lines(fresh_warnings) == [
+                (SmallClassWarning, f"class {c!r} has fewer than 2 samples; passed through unfiltered")
+                for c in "xyz"
+            ]
+
+    def test_in_place_holds_no_second_copy(self):
+        """Many contiguous classes filtered in place allocate far less than
+        the dataset; the default allocates one output matrix."""
+        labels = np.repeat([f"c{c:03d}" for c in range(100)], 20)
+        data = LabeledFeatures(gaussian_class(np.random.default_rng(12), 2000, 64), labels)
+        cfg = DenoiseConfig(knn_k=5, k1=2, k2=6)
+        denoise_dataset(LabeledFeatures(data.features[:20], labels[:20]), cfg)  # warm caches
+        peaks = []
+        for out in (None, data.features):
+            tracemalloc.start()
+            try:
+                denoise_dataset(data, cfg, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        fresh, in_place = peaks
+        assert data.features.nbytes <= fresh < 1.5 * data.features.nbytes
+        assert in_place < 0.25 * data.features.nbytes
+
+    def test_failing_class_leaves_out_partly_written(self):
+        """Classes are filtered in label order; the one holding a zero row
+        raises, after the classes before it were written."""
+        rng = np.random.default_rng(13)
+        F = gaussian_class(rng, 12, 3, mu=1.0)
+        F[5] = 0.0
+        labels = ["a"] * 4 + ["b"] * 4 + ["c"] * 4
+        data = LabeledFeatures(F.copy(), labels)
+        expected_a = denoise_class(F[:4], self.CFG)
+        with pytest.raises(ZeroVector):
+            denoise_dataset(data, self.CFG, out=data.features)
+        assert data.features[:4].tobytes() == expected_a.tobytes()
+        assert data.features[4:].tobytes() == F[4:].tobytes()

@@ -42,6 +42,16 @@ def random_dataset(rng, n=None, d=None):
     return LabeledFeatures(scale * rng.standard_normal((n, d)), labels)
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTextFormat:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -380,6 +390,42 @@ class TestBinaryFormat:
         header += (2).to_bytes(4, "little")
         expected = header + b"abc\0" + np.array([1.5, 2.0], dtype="<f8").tobytes()
         assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_matrices_round_trip(self, tmp_path, shape):
+        labels = [f"r{i}" for i in range(shape[0])]
+        path = tmp_path / "empty.bin"
+        save_features_binary(path, LabeledFeatures(np.zeros(shape), labels))
+        back = load_features_binary(path)
+        assert back.features.shape == shape and list(back.labels) == labels
+        assert path.stat().st_size == 28 + shape[0] * 2
+
+    def test_non_contiguous_features_written_in_row_order(self, tmp_path):
+        features = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        path = tmp_path / "fortran.bin"
+        save_features_binary(path, LabeledFeatures(features, list("abcd")))
+        assert load_features_binary(path).features.tobytes() == np.arange(12.0).tobytes()
+
+    # 4,000 x 128 float64: a 4 MB payload. The labels' Python strings add
+    # about 6% on load; a copy of the payload would add 100%.
+    N, D = 4000, 128
+
+    def test_load_holds_one_copy_of_the_payload(self, tmp_path):
+        path = tmp_path / "big.bin"
+        labels = [f"c{i % 7}" for i in range(self.N)]
+        save_features_binary(path, LabeledFeatures(np.ones((self.N, self.D)), labels))
+        peak = traced_peak(lambda: load_features_binary(path))
+        assert peak < 1.25 * self.N * self.D * 8
+
+    def test_save_holds_one_copy_of_the_payload(self, tmp_path):
+        """The peak counts the features array itself, made inside the trace."""
+        path = tmp_path / "big.bin"
+        labels = [f"c{i % 7}" for i in range(self.N)]
+        peak = traced_peak(lambda: save_features_binary(
+            path, LabeledFeatures(np.ones((self.N, self.D)), labels)
+        ))
+        assert peak < 1.25 * self.N * self.D * 8
+        assert path.stat().st_size == 28 + self.N * 2 + self.N * self.D * 8
 
     def test_matches_text_loader_contents(self, tmp_path):
         rng = np.random.default_rng(2)
