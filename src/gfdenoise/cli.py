@@ -5,6 +5,7 @@ go to stderr; reports go to the --out path (or stdout when omitted).
 """
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import replace
@@ -16,10 +17,18 @@ from . import centroids
 from .classify import ncm_fit, ncm_predict, nn1_predict  # noqa: F401
 from .config import RunConfig, build_run_config, config_echo, parse_config_file
 from .data import LabeledFeatures, make_gaussian_pool, stratified_split
-from .denoise import denoise_dataset
+from .denoise import batch_ends, denoise_dataset
 from .episodes import classify_episode, paired_accuracies, paired_report, per_m_seeds
 from .errors import ConfigError, GfdError
-from .fileio import emit_report, load_features, report_text, save_features
+# save_features is unused here, but perfbench/layertrace.py traces it in this module.
+from .fileio import (  # noqa: F401
+    FeatureReader,
+    emit_report,
+    feature_writer,
+    load_features,
+    report_text,
+    save_features,
+)
 
 # Config key -> the flag that overrides it. A flag's value is the raw text
 # of that key, parsed and checked as it would be in a config file.
@@ -89,11 +98,26 @@ def _emit(cfg: RunConfig, report: dict) -> None:
 def _cmd_denoise(cfg: RunConfig) -> None:
     if cfg.input_path is None or cfg.output_path is None:
         raise ConfigError("denoise requires --in and --out")
-    data = load_features(cfg.input_path, cfg.fmt)
-    # Filtered in place: the loaded matrix is the only copy of the data.
-    save_features(
-        cfg.output_path, denoise_dataset(data, cfg.denoise, out=data.features), cfg.fmt
-    )
+    with FeatureReader(cfg.input_path, cfg.fmt) as reader:
+        header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
+        # --out is replaced only once every batch is written; the temporary
+        # file is removed if any batch fails.
+        tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(header)
+                # Each batch of whole classes is filtered in place and
+                # written, then dropped before the next one is read.
+                for batch, row_name in reader.batches(batch_ends(reader.labels, reader.d)):
+                    write_rows(fh, denoise_dataset(
+                        batch, cfg.denoise, out=batch.features, row_name=row_name
+                    ))
+                    del batch
+            os.replace(tmp, cfg.output_path)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def _cmd_eval_fewshot(cfg: RunConfig) -> None:
@@ -122,7 +146,7 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
     else:
         train, test = stratified_split(data, test_fraction=0.2, seed=cfg.seed)
     del data  # a split copies its rows, so the pool is freed before the 1-NN peak
-    filtered_train = denoise_dataset(train, cfg.denoise)
+    filtered_train = denoise_dataset(train, cfg.denoise, row_name="train row {}".format)
     acc_raw, acc_filt = (
         float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))
         for rows in (train, filtered_train)

@@ -32,6 +32,9 @@ class InvalidSize(GfdError):
 class IsolatedVertex(GfdError):
     """A vertex has zero degree, so the normalized Laplacian is undefined."""
 
+    # The fault, for a message that names the vertex's row by other means.
+    reason = "vertex has zero degree"
+
     def __init__(self, index: int, message: str | None = None):
         self.index = index
         super().__init__(message or f"vertex {index} has zero degree")
@@ -39,6 +42,8 @@ class IsolatedVertex(GfdError):
 
 class ZeroVector(GfdError):
     """A feature row has zero norm, so cosine similarity is undefined."""
+
+    reason = "feature row has zero norm"
 
     def __init__(self, index: int, message: str | None = None):
         self.index = index
@@ -96,6 +101,10 @@ class BadMagic(GfdError):
 
 class TruncatedFile(GfdError):
     """A binary feature file's payload does not match its header."""
+
+
+class NotRegularFile(GfdError):
+    """An input that must be read twice is not a regular file."""
 
 
 class ConfigError(GfdError):

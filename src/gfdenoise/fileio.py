@@ -6,7 +6,7 @@ skipped. The label is everything before the first comma, and each value
 follows Python float() syntax, surrounding whitespace included. Values are
 written as `%.17g`, so float64 round-trips exactly. A label that holds a
 comma or a line break, or starts with `#` or whitespace, would not read
-back as itself, so save_features_text rejects it before opening the file,
+back as itself, so the text writer rejects it before the file is opened,
 as it does a matrix of zero columns, whose `label,` lines would not load.
 Text costs far more than binary: at 50,000 x 128 (2-core machine), text
 took about 5.5 s to save and 3.4 s to load, binary 0.1-0.2 s each.
@@ -21,25 +21,43 @@ Binary format (all integers little-endian):
     28      n*width   labels, UTF-8 zero-padded to label_width
     ...     n*d*8     features, IEEE-754 float64, row-major
 
-Binary I/O holds no copy of the feature payload: load_features_binary
-reads it straight into the array it returns, and save_features_binary
-writes it from the array's own buffer.
+The size the header implies is checked against a regular file's size
+before anything is allocated, so a corrupt header raises TruncatedFile.
 
-Both loaders reject NaN and infinite feature values.
+Each format has one batch reader, which parses and checks a run of rows,
+and one writer, which writes a file's header and then its rows a batch at
+a time (feature_writer). load_features and save_features use them on the whole file as one
+batch. FeatureReader reads a file in two passes: its labels first, then
+its rows a batch at a time, so that a caller holds one batch of rows at
+once. Binary I/O holds no copy of the feature payload: rows are read
+straight into the array returned and written from the array's own buffer.
+
+Both readers reject NaN and infinite feature values.
 
 Reports are JSON documents; emit_report/load_report round-trip floats
 exactly.
 """
 
 import json
+import os
+import stat
 import struct
 from array import array
-from itertools import chain
+from collections import deque
+from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
 from .data import LabeledFeatures
-from .errors import BadMagic, InconsistentDimension, NonFiniteValue, ParseError, TruncatedFile
+from .errors import (
+    BadMagic,
+    InconsistentDimension,
+    NonFiniteValue,
+    NotRegularFile,
+    ParseError,
+    TruncatedFile,
+)
 
 FORMATS = ("text", "bin")
 MAGIC = b"GFDENSE1"
@@ -47,23 +65,36 @@ _HEADER = struct.Struct("<8sQQI")
 # ASCII separators that np.loadtxt strips from a value as whitespace but
 # float() rejects; a line holding one is left to the per-line parser.
 _NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+# The text writer formats the rows of about this many bytes of features into
+# one string per write call. Formatting builds about 10 times their size in
+# Python floats and strings, so a chunk is kept well below a denoise batch
+# (DENOISE_BATCH_BYTES): on 200 classes of 50 x 128 rows, 1 MiB chunks
+# raised the traced peak of `denoise` from 2.8 to 10.6 MB.
+TEXT_WRITE_BYTES = 1 << 16
 
 
-def _check_finite(features: np.ndarray, linenos: array | None = None) -> None:
-    """Raise NonFiniteValue naming the first row (or its line) holding a
-    NaN or infinity."""
+def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | None = None) -> None:
+    """Raise NonFiniteValue naming the first row (counted from first_row),
+    or its line, holding a NaN or infinity."""
     # min and max are NaN or infinite exactly when some value is, and
     # unlike np.isfinite they allocate no array the size of the input.
     if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
         row = int(np.argmin(np.isfinite(features).all(axis=1)))
-        raise NonFiniteValue(row, None if linenos is None else linenos[row])
+        raise NonFiniteValue(first_row + row, None if linenos is None else linenos[row])
 
 
-def _data_lines(fh, labels: list, linenos: array):
-    """Yield the values part of each data line of fh, appending its label
-    and line number; raise ValueError at a line the bulk parse must not
-    take, so that the per-line parser names what is wrong with it."""
-    for lineno, raw in enumerate(fh, start=1):
+def _numbered_lines(path, start: int = 0, stop: int | None = None):
+    """(line number, line) for the lines start + 1 .. stop of a text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        yield from islice(enumerate(fh, start=1), start, stop)
+
+
+def _data_lines(numbered, labels: list, linenos: array):
+    """Yield the values part of each data line of (line number, line)
+    pairs, appending its label and line number; raise ValueError at a line
+    the bulk parse must not take, so that the per-line parser names what is
+    wrong with it."""
+    for lineno, raw in numbered:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -75,68 +106,208 @@ def _data_lines(fh, labels: list, linenos: array):
         yield values
 
 
-def load_features_text(path) -> LabeledFeatures:
-    """Parse a comma-separated feature file; row order is preserved and
-    labels stay opaque strings.
+def _read_text(numbered, reread, d: int | None = None, first_row: int = 0):
+    """The text batch reader: the rows of (line number, line) pairs, and
+    each row's line number. Rows are numbered from first_row, and every
+    row must hold d values when d is given.
 
-    All values are parsed by one np.loadtxt call. A file it rejects is
-    parsed again line by line, which raises the typed error naming the
-    line, or accepts the values only float() takes (`1_0`, non-ASCII
-    digits)."""
+    All values are parsed by one np.loadtxt call. Lines it rejects are
+    parsed again line by line from reread(), the same pairs afresh, which
+    raises the typed error naming the line, or accepts the values only
+    float() takes (`1_0`, non-ASCII digits)."""
     labels, linenos = [], array("q")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = _data_lines(fh, labels, linenos)
-            first = next(lines, None)
-            if first is None:
-                raise ParseError(0, "no data lines in file")
-            features = np.loadtxt(
-                chain((first,), lines), delimiter=",", dtype=np.float64, ndmin=2, comments=None
-            )
+        values = _data_lines(numbered, labels, linenos)
+        first = next(values, None)
+        if first is None:
+            raise ParseError(0, "no data lines in file")
+        features = np.loadtxt(
+            chain((first,), values), delimiter=",", dtype=np.float64, ndmin=2, comments=None
+        )
+        if d is not None and features.shape[1] != d:
+            raise ValueError(f"{features.shape[1]} values, expected {d}")
     except ValueError:
-        return _load_features_text_per_line(path)
-    _check_finite(features, linenos)
-    return LabeledFeatures(features=features, labels=np.asarray(labels))
+        return _read_text_per_line(reread(), d, first_row)
+    _check_finite(features, first_row, linenos)
+    return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
 
 
-def _load_features_text_per_line(path) -> LabeledFeatures:
+def _read_text_per_line(numbered, d: int | None = None, first_row: int = 0):
     """The text grammar, one line and one float() call per value at a time."""
-    labels, rows, linenos, dim = [], [], array("q"), None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise ParseError(lineno, f"line {lineno}: expected label,v1,...,vd")
-            try:
-                values = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise ParseError(lineno, f"line {lineno}: non-numeric feature value")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise InconsistentDimension(
-                    lineno, f"line {lineno}: {len(values)} values, expected {dim}"
-                )
-            labels.append(parts[0])
-            rows.append(values)
-            linenos.append(lineno)
+    labels, rows, linenos, dim = [], [], array("q"), d
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 2:
+            raise ParseError(lineno, f"line {lineno}: expected label,v1,...,vd")
+        try:
+            values = [float(p) for p in parts[1:]]
+        except ValueError:
+            raise ParseError(lineno, f"line {lineno}: non-numeric feature value")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise InconsistentDimension(
+                lineno, f"line {lineno}: {len(values)} values, expected {dim}"
+            )
+        labels.append(parts[0])
+        rows.append(values)
+        linenos.append(lineno)
     if not rows:
         raise ParseError(0, "no data lines in file")
     features = np.asarray(rows)
-    _check_finite(features, linenos)
-    return LabeledFeatures(features=features, labels=np.asarray(labels))
+    _check_finite(features, first_row, linenos)
+    return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
 
 
-def save_features_text(path, data: LabeledFeatures) -> None:
-    """Write one line per row, the width and every label checked before the
-    file is opened."""
-    if data.d == 0:
+def load_features_text(path) -> LabeledFeatures:
+    """Parse a comma-separated feature file as one batch; row order is
+    preserved and labels stay opaque strings."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_text(enumerate(fh, start=1), partial(_numbered_lines, path))[0]
+
+
+def _text_labels(fh, path):
+    """The labels pass over a text file: every data row's label and line
+    number, and the number of values on the first data line. A line the
+    bulk parse must not take is parsed by the per-line parser, which
+    raises the error it would raise loading the whole file."""
+    labels, linenos = [], array("q")
+    values = _data_lines(enumerate(fh, start=1), labels, linenos)
+    try:
+        first = next(values, None)
+        deque(values, maxlen=0)
+    except ValueError:
+        _read_text_per_line(_numbered_lines(path))
+        raise
+    if first is None:
+        raise ParseError(0, "no data lines in file")
+    return np.asarray(labels), first.count(",") + 1, linenos
+
+
+def _binary_header(fh) -> tuple[int, int, int]:
+    """Read and check the header; return n, d and the label width. For a
+    regular file, the size the header implies must be the file's size."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise TruncatedFile(f"header is {len(header)} bytes, need {_HEADER.size}")
+    magic, n, d, width = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise BadMagic(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if n and not width and not d:
+        # Rows of 0 bytes: no file size bounds n.
+        raise TruncatedFile(f"header claims {n} rows of 0 bytes")
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        labels_end = _HEADER.size + n * width
+        if st.st_size < labels_end:
+            raise TruncatedFile("label block shorter than header implies")
+        if st.st_size < labels_end + 8 * n * d:
+            raise TruncatedFile("feature payload shorter than header implies")
+        if st.st_size > labels_end + 8 * n * d:
+            raise TruncatedFile("trailing bytes after feature payload")
+    return n, d, width
+
+
+def _binary_labels(fh, n: int, width: int) -> np.ndarray:
+    block = fh.read(n * width)
+    if len(block) < n * width:
+        raise TruncatedFile("label block shorter than header implies")
+    return np.asarray(
+        [block[i * width : (i + 1) * width].rstrip(b"\0").decode("utf-8") for i in range(n)]
+    )
+
+
+def _binary_rows(fh, rows: int, d: int, first_row: int = 0) -> np.ndarray:
+    """The binary batch reader: the next rows x d features, read straight
+    into the array returned; rows are numbered from first_row."""
+    features = np.empty((rows, d), dtype="<f8")
+    if fh.readinto(features) < features.nbytes:
+        raise TruncatedFile("feature payload shorter than header implies")
+    _check_finite(features, first_row)
+    return features
+
+
+def load_features_binary(path) -> LabeledFeatures:
+    """Read the binary format as one batch; bit-exact inverse of
+    save_features_binary."""
+    with open(path, "rb") as fh:
+        n, d, width = _binary_header(fh)
+        labels = _binary_labels(fh, n, width)
+        features = _binary_rows(fh, n, d)
+        if fh.read(1):
+            raise TruncatedFile("trailing bytes after feature payload")
+    return LabeledFeatures(features=features, labels=labels)
+
+
+class FeatureReader:
+    """A feature file read in two passes over one open file: the labels
+    pass on opening, then its rows a batch at a time by batches(). The
+    file must be a regular file, which NotRegularFile enforces.
+
+    labels: every row's label; d: the row width (for text, the number of
+    values on the first data line, which every row must match)."""
+
+    def __init__(self, path, fmt: str):
+        self._path, self._fmt = path, fmt
+        self._fh = open(path, "rb") if fmt == "bin" else open(path, "r", encoding="utf-8")
+        try:
+            if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
+                raise NotRegularFile(f"{path} is read twice, so it must be a regular file")
+            if fmt == "bin":
+                n, self.d, width = _binary_header(self._fh)
+                self.labels = _binary_labels(self._fh, n, width)
+            else:
+                self.labels, self.d, self._linenos = _text_labels(self._fh, path)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "FeatureReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def batches(self, ends):
+        """Yield, for each batch of rows ending before the next of the
+        increasing row indices `ends` (the last being the row count), the
+        batch parsed and checked, and a function naming a batch row: by
+        its line (text) or its file row (binary). A batch is not held once
+        the next one is asked for."""
+        start = 0
+        if self._fmt == "bin":
+            for end in ends:
+                batch = LabeledFeatures(
+                    features=_binary_rows(self._fh, end - start, self.d, start),
+                    labels=self.labels[start:end],
+                )
+                yield batch, (lambda i, start=start: f"row {start + i}")
+                del batch
+                start = end
+            return
+        self._fh.seek(0)
+        numbered = enumerate(self._fh, start=1)
+        line = 0
+        for end in ends:
+            # The last batch runs to the end of the file.
+            stop = self._linenos[end - 1] if end < self.labels.size else None
+            lines = islice(numbered, None if stop is None else stop - line)
+            batch, linenos = _read_text(
+                lines, partial(_numbered_lines, self._path, line, stop), self.d, start
+            )
+            deque(lines, maxlen=0)  # what the per-line parser read instead
+            yield batch, (lambda i, linenos=linenos: f"line {linenos[i]}")
+            del batch
+            start, line = end, stop
+
+
+def _text_writer(labels: np.ndarray, d: int):
+    if d == 0:
         raise ValueError("text format needs at least one feature value per row, got d=0")
-    labels = data.labels.tolist()
-    for label in dict.fromkeys(labels):
+    for label in dict.fromkeys(labels.tolist()):
         if (
             "," in label
             or label.startswith("#")
@@ -146,48 +317,45 @@ def save_features_text(path, data: LabeledFeatures) -> None:
         ):
             raise ValueError(f"label {label!r} not representable in text format")
     # "%.17g" % v and f"{v:.17g}" format a float identically.
-    row_format = "%s," + ",".join(["%.17g"] * data.d) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(labels, data.features):
-            fh.write(row_format % (label, *row.tolist()))
+    row_format = "%s," + ",".join(["%.17g"] * d) + "\n"
+    step = max(1, TEXT_WRITE_BYTES // (8 * d))
+
+    def write_rows(fh, batch: LabeledFeatures) -> None:
+        labels = batch.labels.tolist()
+        for i in range(0, batch.n, step):
+            rows = zip(labels[i : i + step], batch.features[i : i + step].tolist())
+            fh.write("".join([row_format % (label, *row) for label, row in rows]).encode())
+
+    return b"", write_rows
+
+
+def _binary_writer(labels: np.ndarray, d: int):
+    encoded = np.char.encode(labels, "utf-8")
+    header = _HEADER.pack(MAGIC, encoded.size, d, encoded.itemsize) + encoded.tobytes()
+
+    def write_rows(fh, batch: LabeledFeatures) -> None:
+        fh.write(np.ascontiguousarray(batch.features, dtype="<f8"))
+
+    return header, write_rows
+
+
+def feature_writer(fmt: str, labels: np.ndarray, d: int):
+    """Check that a file of these labels and row width can be written in
+    fmt, and return its header bytes (the labels, for binary) and the
+    function that writes a batch of its rows, which follow the labels in
+    order, to a file opened "wb". A text batch is formatted a few rows
+    per string (see TEXT_WRITE_BYTES); binary features are written from
+    their own buffer, copied only when they are not C-contiguous
+    little-endian float64."""
+    return (_binary_writer if fmt == "bin" else _text_writer)(np.asarray(labels, dtype=np.str_), d)
+
+
+def save_features_text(path, data: LabeledFeatures) -> None:
+    save_features(path, data, "text")
 
 
 def save_features_binary(path, data: LabeledFeatures) -> None:
-    """Write the binary format. The labels are encoded into one array of
-    zero-padded records (at least 1 byte wide), and each block is written
-    from its array's own buffer; the features are copied only when they are
-    not C-contiguous little-endian float64."""
-    labels = np.char.encode(data.labels, "utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, data.n, data.d, labels.itemsize))
-        fh.write(labels)
-        fh.write(np.ascontiguousarray(data.features, dtype="<f8"))
-
-
-def load_features_binary(path) -> LabeledFeatures:
-    """Read the binary format; bit-exact inverse of save_features_binary.
-    The features are read straight into the returned array."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise TruncatedFile(f"header is {len(header)} bytes, need {_HEADER.size}")
-        magic, n, d, width = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagic(f"bad magic {magic!r}, expected {MAGIC!r}")
-        label_block = fh.read(n * width)
-        if len(label_block) < n * width:
-            raise TruncatedFile("label block shorter than header implies")
-        features = np.empty((n, d), dtype="<f8")
-        if fh.readinto(features) < features.nbytes:
-            raise TruncatedFile("feature payload shorter than header implies")
-        if fh.read(1):
-            raise TruncatedFile("trailing bytes after feature payload")
-    labels = [
-        label_block[i * width : (i + 1) * width].rstrip(b"\0").decode("utf-8")
-        for i in range(n)
-    ]
-    _check_finite(features)
-    return LabeledFeatures(features=features, labels=np.asarray(labels))
+    save_features(path, data, "bin")
 
 
 def load_features(path, fmt: str) -> LabeledFeatures:
@@ -195,10 +363,12 @@ def load_features(path, fmt: str) -> LabeledFeatures:
 
 
 def save_features(path, data: LabeledFeatures, fmt: str) -> None:
-    if fmt == "bin":
-        save_features_binary(path, data)
-    else:
-        save_features_text(path, data)
+    """Write data as one batch, the labels and width checked before the
+    file is opened."""
+    header, write_rows = feature_writer(fmt, data.labels, data.d)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        write_rows(fh, data)
 
 
 def _jsonable(obj):

@@ -26,14 +26,19 @@ def classify_labels(support, query, cfg):
 def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, seed):
     """Per-episode query accuracy without and with support filtering,
     evaluated one episode at a time: sample_episode, classify_labels on the
-    raw support, denoise_dataset, classify_labels on the filtered support."""
+    raw support, denoise_dataset, classify_labels on the filtered support.
+    eval-fewshot's errors do not name the class and row that denoise_dataset
+    adds to a filtering error, so the error it located is raised as it was."""
     acc_raw = np.empty(iterations)
     acc_filt = np.empty(iterations)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(iterations)):
         ep = sample_episode(pool, spec, child)
         truth = ep.query.labels
         pred_raw = classify_labels(ep.support, ep.query.features, classifier_cfg)
-        filtered = denoise_dataset(ep.support, denoise_cfg)
+        try:
+            filtered = denoise_dataset(ep.support, denoise_cfg)
+        except GfdError as exc:
+            raise exc.__cause__
         pred_filt = classify_labels(filtered, ep.query.features, classifier_cfg)
         acc_raw[i] = np.mean(pred_raw == truth)
         acc_filt[i] = np.mean(pred_filt == truth)

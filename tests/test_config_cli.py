@@ -1,16 +1,24 @@
 """Configuration precedence and CLI behavior tests."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import outcome, per_episode_accuracies
 
 import gfdenoise
+import gfdenoise.denoise
 from gfdenoise.centroids import GaussianClassSpec, monte_carlo_centroid_stats
 from gfdenoise.cli import FLAGS, build_parser, load_run_config, run_cli
 from gfdenoise.config import (
@@ -21,7 +29,7 @@ from gfdenoise.config import (
     parse_config_file,
 )
 from gfdenoise.data import LabeledFeatures, make_gaussian_pool
-from gfdenoise.denoise import DenoiseConfig, denoise_dataset
+from gfdenoise.denoise import DenoiseConfig, SmallClassWarning, denoise_dataset
 from gfdenoise.episodes import (
     ClassifierConfig,
     EpisodeSpec,
@@ -29,7 +37,7 @@ from gfdenoise.episodes import (
     run_fewshot_eval,
     sweep_shots,
 )
-from gfdenoise.errors import ConfigError
+from gfdenoise.errors import ConfigError, GfdError
 from gfdenoise.fileio import (
     load_features,
     load_features_binary,
@@ -336,6 +344,182 @@ class TestCliDenoise:
             "denoise", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 1
+
+
+class TestCliFilteringErrors:
+    """An error raised while a class is filtered names the class and its
+    row: the file line (text), the file row (binary) or the train row
+    (eval-standard)."""
+
+    ZERO_ROW = "a,1,2\na,2,1\na,1,1\nb,0,0\nb,2,2\nb,3,1\n"
+    # Class o's rows are mutually orthogonal, so its 1-NN graph keeps only
+    # 0.0 edges.
+    ORTHOGONAL = "p,1,1,2\no,0,1,0\no,1,0,0\no,0,0,1\np,2,1,1\n"
+
+    def run(self, tmp_path, capsys, text, fmt, mode="denoise"):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        (tmp_path / "in.csv").write_text(text)
+        save_features(src, load_features_text(tmp_path / "in.csv"), fmt)
+        argv = [mode, "--format", fmt, "--in", str(src), "--out", str(dst),
+                "--knn-k", "1", "--k1", "1", "--k2", "2"]
+        if mode == "eval-standard":
+            (tmp_path / "test.cfg").write_text(f"io.test = {src}\n")
+            argv += ["--config", str(tmp_path / "test.cfg")]
+        code = run_cli(argv)
+        assert not dst.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, mode, where", [
+        ("text", "denoise", "line 4"),
+        ("bin", "denoise", "row 3"),
+        ("text", "eval-standard", "train row 3"),
+    ])
+    def test_zero_row(self, tmp_path, capsys, fmt, mode, where):
+        assert self.run(tmp_path, capsys, self.ZERO_ROW, fmt, mode) == (
+            1, f"gfdenoise: error: class 'b', {where}: feature row has zero norm\n"
+        )
+
+    @pytest.mark.parametrize("fmt, mode, where", [
+        ("text", "denoise", "line 2"),
+        ("bin", "denoise", "row 1"),
+        ("bin", "eval-standard", "train row 1"),
+    ])
+    def test_isolated_vertex(self, tmp_path, capsys, fmt, mode, where):
+        assert self.run(tmp_path, capsys, self.ORTHOGONAL, fmt, mode) == (
+            1, f"gfdenoise: error: class 'o', {where}: vertex has zero degree\n"
+        )
+
+
+# Labels of rows in the layouts the streamed denoise must keep apart.
+def _grouped(n_classes, rows):
+    return [f"g{c}" for c in range(n_classes) for _ in range(rows)]
+
+
+STREAM_LAYOUTS = st.one_of(
+    st.builds(_grouped, st.integers(1, 6), st.integers(1, 5)),
+    st.lists(st.sampled_from(["a", "b", "c", "solo"]), min_size=1, max_size=24),
+    st.builds(lambda a, b, c: ["s"] * a + ["t"] * b + ["s"] * c + ["u"],
+              st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    st.lists(st.sampled_from(["x", "y", "z", "w"]), min_size=1, max_size=6, unique=True),
+)
+
+
+def _cli_outcome(argv):
+    """Exit code, stderr lines as a set, in-process."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    return code, set(err.getvalue().splitlines())
+
+
+class TestCliDenoiseStreamed:
+    """denoise reads, filters and writes a batch of whole classes at a time;
+    its output is what filtering the loaded file at once gives."""
+
+    CFG = DenoiseConfig(knn_k=2, k1=1, k2=3)
+    ARGS = ["--knn-k", "2", "--k1", "1", "--k2", "3"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(STREAM_LAYOUTS, st.sampled_from(["text", "bin"]), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_output_and_warnings_match_the_library(self, labels, fmt, batch_rows, seed):
+        """DENOISE_BATCH_BYTES is set to a few rows, so most files take
+        several batches."""
+        d = 3
+        data = LabeledFeatures(
+            np.random.default_rng(seed).standard_normal((len(labels), d)) + 2.0, labels
+        )
+        original = gfdenoise.denoise.DENOISE_BATCH_BYTES
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dst, ref = (os.path.join(tmp, name) for name in ("in", "out", "ref"))
+            save_features(src, data, fmt)
+            gfdenoise.denoise.DENOISE_BATCH_BYTES = batch_rows * 8 * d
+            try:
+                code, lines = _cli_outcome(
+                    ["denoise", "--format", fmt, "--in", src, "--out", dst, *self.ARGS]
+                )
+            finally:
+                gfdenoise.denoise.DENOISE_BATCH_BYTES = original
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                save_features(ref, denoise_dataset(load_features(src, fmt), self.CFG), fmt)
+            assert code == 0
+            with open(dst, "rb") as got, open(ref, "rb") as want:
+                assert got.read() == want.read()
+            assert sorted(os.listdir(tmp)) == ["in", "out", "ref"]
+        assert lines == {
+            f"gfdenoise: warning: {w.message}" for w in caught if w.category is SmallClassWarning
+        }
+
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    @pytest.mark.parametrize("previous", [None, b"previous contents\n"])
+    def test_class_failing_after_written_batches(self, tmp_path, capsys, monkeypatch, fmt,
+                                                 previous):
+        """The run exits 1, --out keeps what it held, and no temporary file
+        is left behind."""
+        monkeypatch.setattr(gfdenoise.denoise, "DENOISE_BATCH_BYTES", 2 * 8 * 2)
+        features = np.abs(np.random.default_rng(8).standard_normal((12, 2))) + 0.5
+        features[10] = 0.0
+        src, dst = tmp_path / "in", tmp_path / "out"
+        save_features(src, LabeledFeatures(features, np.repeat(list("abcdef"), 2)), fmt)
+        if previous is not None:
+            dst.write_bytes(previous)
+        argv = ["denoise", "--format", fmt, "--in", str(src), "--out", str(dst), "--knn-k", "1"]
+        assert run_cli(argv) == 1
+        where = "line 11" if fmt == "text" else "row 10"
+        assert capsys.readouterr().err == (
+            f"gfdenoise: error: class 'f', {where}: feature row has zero norm\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == (["in"] if previous is None else ["in", "out"])
+        if previous is not None:
+            assert dst.read_bytes() == previous
+
+    @pytest.mark.parametrize("bad, message", [
+        ("nan", "line 9: non-finite feature value"),
+        ("x", "line 9: non-numeric feature value"),
+        ("1,2", "line 9: 3 values, expected 2"),
+    ])
+    def test_single_parse_fault_reports_as_loading_does(self, tmp_path, capsys, monkeypatch,
+                                                       bad, message):
+        monkeypatch.setattr(gfdenoise.denoise, "DENOISE_BATCH_BYTES", 2 * 8 * 2)
+        rows = [f"c{i // 2},{i + 1},{2 * i + 1}" for i in range(12)]
+        rows[8] = f"c4,1,{bad}"
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(rows) + "\n")
+        with pytest.raises(GfdError, match=f"^{re.escape(message)}$"):
+            load_features_text(src)
+        assert run_cli(["denoise", "--in", str(src), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"gfdenoise: error: {message}\n"
+        assert os.listdir(tmp_path) == ["in.csv"]
+
+    def test_grouped_file_holds_a_batch_not_the_file(self, tmp_path):
+        """A grouped binary file of 40 classes x 200 rows (d = 128) is
+        filtered holding well under its payload."""
+        src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+        labels = np.repeat([f"c{c:02d}" for c in range(40)], 200)
+        features = np.random.default_rng(9).standard_normal((labels.size, 128))
+        save_features(src, LabeledFeatures(features, labels), "bin")
+        payload = features.nbytes
+        del features
+        argv = ["denoise", "--format", "bin", "--in", str(src), "--out", str(dst)]
+        assert run_cli(argv) == 0  # warm caches
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * payload
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_input_that_is_not_a_regular_file_is_refused(self, tmp_path, capsys, fmt):
+        dst = tmp_path / "out"
+        assert run_cli(["denoise", "--format", fmt, "--in", "/dev/null", "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == (
+            "gfdenoise: error: /dev/null is read twice, so it must be a regular file\n"
+        )
+        assert os.listdir(tmp_path) == []
 
 
 class TestCliEval:

@@ -1,5 +1,6 @@
 """Per-class denoising pipeline tests."""
 
+import pickle
 import tracemalloc
 import warnings
 
@@ -16,10 +17,11 @@ from gfdenoise.denoise import (
     LANCZOS_ROWS_PER_PAIR,
     DenoiseConfig,
     SmallClassWarning,
+    batch_ends,
     denoise_class,
     denoise_dataset,
 )
-from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange, ZeroVector
+from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange, IsolatedVertex, ZeroVector
 from gfdenoise.graphs import class_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
@@ -369,3 +371,106 @@ class TestDenoiseDatasetMemory:
             denoise_dataset(data, self.CFG, out=data.features)
         assert data.features[:4].tobytes() == expected_a.tobytes()
         assert data.features[4:].tobytes() == F[4:].tobytes()
+
+
+class TestFilteringErrorsNameClassAndRow:
+    """A class's typed error is raised again naming the class and, for an
+    error at one of its rows, that row."""
+
+    CFG = DenoiseConfig(knn_k=1, k1=1, k2=2)
+
+    def data(self):
+        F = gaussian_class(np.random.default_rng(14), 9, 3, mu=1.0)
+        F[6] = 0.0
+        return LabeledFeatures(F, ["a", "b", "a", "b", "a", "c", "b", "c", "c"])
+
+    def test_zero_row(self):
+        with pytest.raises(ZeroVector) as exc:
+            denoise_dataset(self.data(), self.CFG)
+        assert str(exc.value) == "class 'b', row 6: feature row has zero norm"
+        assert (exc.value.index, exc.value.label) == (6, "b")
+        assert str(exc.value.__cause__) == "feature row 2 has zero norm"
+
+    def test_row_named_by_the_caller(self):
+        with pytest.raises(ZeroVector, match=r"^class 'b', line 17: feature row has zero norm$"):
+            denoise_dataset(self.data(), self.CFG, row_name=lambda i: f"line {i + 11}")
+
+    def test_isolated_vertex(self):
+        """Mutually orthogonal rows keep only 0.0 edges in a 1-NN graph."""
+        F = np.vstack([np.eye(3), np.ones((3, 3)) + np.eye(3)])
+        data = LabeledFeatures(F, ["o", "o", "o", "p", "p", "p"])
+        with pytest.raises(IsolatedVertex) as exc:
+            denoise_dataset(data, self.CFG, out=data.features)
+        assert str(exc.value) == "class 'o', row 0: vertex has zero degree"
+        back = pickle.loads(pickle.dumps(exc.value))
+        assert (type(back), str(back), back.index, back.label) == (
+            IsolatedVertex, str(exc.value), 0, "o"
+        )
+
+    def test_error_without_a_row_names_the_class(self, monkeypatch):
+        def fail(F, cfg):
+            raise InvalidRange("no luck")
+
+        monkeypatch.setattr(gfdenoise.denoise, "denoise_class", fail)
+        with pytest.raises(InvalidRange, match=r"^class 'a': no luck$"):
+            denoise_dataset(self.data(), self.CFG)
+
+
+def batch_ends_reference(labels, min_rows):
+    """batch_ends by its definition: walk the rows, tracking the classes
+    still to be completed, and end a batch at the first row that completes
+    them all once it holds min_rows rows."""
+    remaining = {label: labels.count(label) for label in labels}
+    open_classes, ends, start = set(), [], 0
+    for i, label in enumerate(labels):
+        remaining[label] -= 1
+        open_classes.add(label)
+        if remaining[label] == 0:
+            open_classes.discard(label)
+        if not open_classes and i + 1 - start >= min_rows:
+            ends.append(i + 1)
+            start = i + 1
+    if start < len(labels):
+        ends.append(len(labels))
+    return ends
+
+
+class TestBatchEnds:
+    def test_grouped_classes_split_at_class_boundaries(self, monkeypatch):
+        monkeypatch.setattr(gfdenoise.denoise, "DENOISE_BATCH_BYTES", 3 * 8 * 4)
+        labels = ["a"] * 2 + ["b"] * 2 + ["c"] * 3 + ["d"]
+        assert batch_ends(labels, 4) == [4, 7, 8]
+
+    def test_interleaved_classes_make_one_batch(self, monkeypatch):
+        monkeypatch.setattr(gfdenoise.denoise, "DENOISE_BATCH_BYTES", 8)
+        assert batch_ends(["a", "b", "a", "c", "b", "c"], 1) == [6]
+        assert batch_ends(["a", "b", "b", "a", "c", "c", "d"], 1) == [4, 6, 7]
+
+    def test_no_rows_no_batches(self):
+        assert batch_ends([], 3) == []
+
+    def test_default_batch_holds_a_mebibyte(self):
+        labels = np.repeat([f"c{c:03d}" for c in range(200)], 50)
+        ends = batch_ends(labels, 128)
+        rows = np.diff([0, *ends])
+        assert ends[-1] == 10000 and (rows[:-1] * 128 * 8 >= 2**20).all()
+        assert len(ends) == 10 and set(rows[:-1]) == {1050}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("abcdef"), max_size=30), st.integers(1, 5),
+           st.integers(0, 4))
+    def test_matches_the_definition(self, labels, min_rows, d):
+        """Every batch holds whole classes; every batch but the last holds
+        at least DENOISE_BATCH_BYTES of features; each ends at the first
+        row that allows it."""
+        bytes_per_row = max(8 * d, 1)
+        original = gfdenoise.denoise.DENOISE_BATCH_BYTES
+        gfdenoise.denoise.DENOISE_BATCH_BYTES = min_rows * bytes_per_row
+        try:
+            ends = batch_ends(labels, d)
+        finally:
+            gfdenoise.denoise.DENOISE_BATCH_BYTES = original
+        assert ends == batch_ends_reference(labels, min_rows)
+        starts = [0, *ends[:-1]]
+        batches = [set(labels[a:b]) for a, b in zip(starts, ends)]
+        assert all(not (x & y) for i, x in enumerate(batches) for y in batches[i + 1:])

@@ -1,6 +1,8 @@
 """Feature file format and report round-trip tests."""
 
 import json
+import os
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -20,15 +22,20 @@ from gfdenoise.errors import (
     GfdError,
     InconsistentDimension,
     NonFiniteValue,
+    NotRegularFile,
     ParseError,
     TruncatedFile,
 )
 from gfdenoise.fileio import (
     MAGIC,
+    FeatureReader,
     emit_report,
+    feature_writer,
+    load_features,
     load_features_binary,
     load_features_text,
     load_report,
+    save_features,
     save_features_binary,
     save_features_text,
 )
@@ -48,6 +55,20 @@ def traced_peak(fn) -> int:
     try:
         fn()
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_load_binary(path):
+    """What load_features_binary returns or the GfdError it raises, and the
+    peak bytes that tracemalloc sees allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = load_features_binary(path)
+        except GfdError as exc:
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -311,6 +332,115 @@ class TestMatchesTextReference:
         assert not isinstance(got[0], type), got
 
 
+def streamed_outcome(path, fmt, ends):
+    """text_outcome of reading path with FeatureReader, batch by batch
+    (ends given as shares of the row count), the batches concatenated."""
+    try:
+        with FeatureReader(path, fmt) as reader:
+            n = reader.labels.size
+            cuts = sorted({min(n, int(share * n)) for share in ends} - {0, n}) + [n]
+            parts = [batch for batch, _ in reader.batches(cuts)]
+    except GfdError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "row", None)
+    features = np.concatenate([b.features for b in parts])
+    return features.shape, features.tobytes(), [x for b in parts for x in b.labels.tolist()]
+
+
+SHARES = st.lists(st.floats(0.0, 1.0), max_size=4)
+
+
+class TestFeatureReader:
+    """Reading a file a batch at a time gives what loading it whole gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_files(bad_rows=False), SHARES)
+    def test_text_batches_concatenate_to_the_loaded_file(self, text, shares):
+        """Values only float() takes send a batch to the per-line parser,
+        after which the next batch starts where it should."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert streamed_outcome(path, "text", shares) == text_outcome(load_features_text, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text_files(bad_rows=True), SHARES)
+    def test_text_batches_raise_where_loading_raises(self, text, shares):
+        """One batch raises what loading raises; several batches raise a
+        typed error too, though with several faults it may be another."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(text.encode("utf-8"))
+            loaded = text_outcome(load_features_text, path)
+            assert streamed_outcome(path, "text", []) == loaded
+            streamed = streamed_outcome(path, "text", shares)
+            assert isinstance(streamed[0], type) == isinstance(loaded[0], type)
+            if not isinstance(loaded[0], type):
+                assert streamed == loaded
+
+    def test_binary_batches_concatenate_to_the_loaded_file(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for i in range(10):
+            data = random_dataset(rng)
+            path = tmp_path / f"b{i}.bin"
+            save_features_binary(path, data)
+            for shares in ([], [0.5], [0.1, 0.3, 0.9]):
+                assert streamed_outcome(path, "bin", shares) == text_outcome(
+                    load_features_binary, path
+                )
+
+    def test_batch_rows_are_named_by_line_or_file_row(self, tmp_path):
+        data = LabeledFeatures(np.arange(10.0).reshape(5, 2), list("aabbc"))
+        for fmt, names in (("text", ["line 5", "line 6"]), ("bin", ["row 2", "row 3"])):
+            path = tmp_path / f"f.{fmt}"
+            save_features(path, data, fmt)
+            if fmt == "text":
+                path.write_text("# head\n\n" + path.read_text())
+            with FeatureReader(path, fmt) as reader:
+                assert reader.labels.tolist() == list("aabbc") and reader.d == 2
+                batches = list(reader.batches([2, 4, 5]))
+            batch, row_name = batches[1]
+            assert batch.labels.tolist() == ["b", "b"]
+            assert [row_name(0), row_name(1)] == names
+
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_non_finite_value_names_its_file_row(self, tmp_path, fmt):
+        features = np.ones((6, 2))
+        features[4, 1] = np.nan
+        path = tmp_path / "f"
+        save_features(path, LabeledFeatures(features, list("aabbcc")), fmt)
+        with FeatureReader(path, fmt) as reader:
+            batches = reader.batches([2, 4, 6])
+            next(batches), next(batches)
+            with pytest.raises(NonFiniteValue) as exc:
+                next(batches)
+        assert exc.value.row == 4
+        assert exc.value.line == (5 if fmt == "text" else None)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_not_a_regular_file_is_refused(self, fmt):
+        with pytest.raises(NotRegularFile, match="must be a regular file"):
+            FeatureReader("/dev/null", fmt)
+
+
+class TestFeatureWriter:
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_batches_write_the_bytes_of_one_save(self, tmp_path, fmt, monkeypatch):
+        """Rows written batch by batch, and a text batch written a few rows
+        per call, give the file that saving all rows at once gives."""
+        import gfdenoise.fileio
+
+        monkeypatch.setattr(gfdenoise.fileio, "TEXT_WRITE_BYTES", 2 * 8 * 3)
+        data = random_dataset(np.random.default_rng(6), n=11, d=3)
+        save_features(tmp_path / "whole", data, fmt)
+        header, write_rows = feature_writer(fmt, data.labels, data.d)
+        with open(tmp_path / "batched", "wb") as fh:
+            fh.write(header)
+            for a, b in ((0, 4), (4, 5), (5, 11)):
+                write_rows(fh, LabeledFeatures(data.features[a:b], data.labels[a:b]))
+        assert (tmp_path / "batched").read_bytes() == (tmp_path / "whole").read_bytes()
+
+
 class TestBinaryFormat:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -436,6 +566,47 @@ class TestBinaryFormat:
         t, b = load_features_text(tpath), load_features_binary(bpath)
         assert np.array_equal(t.features, b.features)
         assert list(t.labels) == list(b.labels)
+
+
+    def test_header_beyond_the_file_raises_before_allocating(self, tmp_path):
+        """A 45-byte file whose header claims 2^21 or 2^33 features raises
+        TruncatedFile without allocating what the header implies."""
+        for d in (2**21, 2**33):
+            path = tmp_path / f"d{d}.bin"
+            path.write_bytes(struct.pack("<8sQQI", MAGIC, 1, d, 1) + b"a" + bytes(16))
+            assert path.stat().st_size == 45
+            error, peak = traced_load_binary(path)
+            assert str(error) == "feature payload shorter than header implies"
+            assert isinstance(error, TruncatedFile) and peak < 64 * 1024
+
+    def test_header_with_rows_of_zero_bytes_raises(self, tmp_path):
+        path = tmp_path / "zero.bin"
+        path.write_bytes(struct.pack("<8sQQI", MAGIC, 2**60, 0, 0))
+        with pytest.raises(TruncatedFile, match="rows of 0 bytes"):
+            load_features_binary(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([MAGIC, b"GFDENSE2"]),
+        st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)),
+        st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)),
+        st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1)),
+        st.integers(0, 256),
+    )
+    def test_any_header_raises_only_typed_errors_within_the_file_size(
+        self, magic, n, d, width, body
+    ):
+        """Whatever n, d and width a header claims, loading the file either
+        succeeds or raises a GfdError, and allocates about the file's size
+        at most."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "h.bin"
+            path.write_bytes(struct.pack("<8sQQI", magic, n, d, width) + bytes(body))
+            outcome, peak = traced_load_binary(path)
+            assert isinstance(outcome, (GfdError, LabeledFeatures)), outcome
+            if isinstance(outcome, LabeledFeatures):
+                assert outcome.features.shape == (n, d)
+            assert peak <= path.stat().st_size + 64 * 1024
 
 
 class TestReports:
