@@ -100,7 +100,8 @@ class BadMagic(GfdError):
 
 
 class TruncatedFile(GfdError):
-    """A binary feature file's payload does not match its header."""
+    """A binary feature file's payload does not match its header, or its
+    header claims sizes that no payload can have."""
 
 
 class NotRegularFile(GfdError):

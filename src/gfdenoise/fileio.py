@@ -199,6 +199,9 @@ def _binary_header(fh) -> tuple[int, int, int]:
     if n and not width and not d:
         # Rows of 0 bytes: no file size bounds n.
         raise TruncatedFile(f"header claims {n} rows of 0 bytes")
+    if 8 * d > np.iinfo(np.intp).max:
+        # With n = 0 no file size bounds d either.
+        raise TruncatedFile(f"header claims rows of {d} features, more than an array can hold")
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         labels_end = _HEADER.size + n * width

@@ -579,10 +579,14 @@ class TestBinaryFormat:
             assert str(error) == "feature payload shorter than header implies"
             assert isinstance(error, TruncatedFile) and peak < 64 * 1024
 
-    def test_header_with_rows_of_zero_bytes_raises(self, tmp_path):
-        path = tmp_path / "zero.bin"
-        path.write_bytes(struct.pack("<8sQQI", MAGIC, 2**60, 0, 0))
-        with pytest.raises(TruncatedFile, match="rows of 0 bytes"):
+    @pytest.mark.parametrize("n, d, width, message", [
+        (2**60, 0, 0, "rows of 0 bytes"),
+        (0, 2**60, 1, "more than an array can hold"),
+    ])
+    def test_header_sizes_no_file_bounds_raise(self, tmp_path, n, d, width, message):
+        path = tmp_path / "h.bin"
+        path.write_bytes(struct.pack("<8sQQI", MAGIC, n, d, width))
+        with pytest.raises(TruncatedFile, match=message):
             load_features_binary(path)
 
     @settings(max_examples=300, deadline=None)
