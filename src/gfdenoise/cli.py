@@ -19,7 +19,7 @@ from .config import RunConfig, build_run_config, config_echo, parse_config_file
 from .data import LabeledFeatures, make_gaussian_pool, stratified_split
 from .denoise import batch_ends, denoise_dataset
 from .episodes import classify_episode, paired_accuracies, paired_report, per_m_seeds
-from .errors import ConfigError, GfdError
+from .errors import ConfigError, GfdError, InsufficientPool
 # save_features is unused here, but perfbench/layertrace.py traces it in this module.
 from .fileio import (  # noqa: F401
     FeatureReader,
@@ -145,6 +145,11 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
         train, test = data, load_features(cfg.test_path, cfg.fmt)
     else:
         train, test = stratified_split(data, test_fraction=0.2, seed=cfg.seed)
+    if test.n == 0:
+        raise InsufficientPool(
+            "no test rows" if cfg.test_path is not None
+            else "no test rows: the 80/20 split takes them only from classes of 3 or more rows"
+        )
     del data  # a split copies its rows, so the pool is freed before the 1-NN peak
     filtered_train = denoise_dataset(train, cfg.denoise, row_name="train row {}".format)
     acc_raw, acc_filt = (

@@ -14,9 +14,8 @@ import numpy as np
 # The ncm_ and nn1_ names are unused here, but perfbench/layertrace.py traces them here.
 from .classify import ClassifierConfig, ncm_fit, ncm_predict, nn1_predict, predict  # noqa: F401
 from .data import LabeledFeatures, class_index_map
-# denoise_dataset is unused here, but perfbench/layertrace.py traces it in this module.
-from .denoise import DenoiseConfig, denoise_dataset, denoise_or_pass  # noqa: F401
-from .errors import InsufficientPool, InvalidSize, TooFewSamples
+from .denoise import DenoiseConfig, denoise_dataset, denoise_or_pass
+from .errors import GfdError, InsufficientPool, InvalidSize, TooFewSamples
 
 # paired_accuracies gathers the support and query rows of as many episodes
 # at a time as fit in this many bytes (at least one episode): five 5-way
@@ -140,6 +139,11 @@ def paired_accuracies(
     of the chunk is filtered in one denoise_class call, and both arms are
     classified in one predict call. Accuracies, and any error raised, are
     those of evaluating the episodes one by one.
+
+    A filtering error is that of denoise_dataset on the first failing
+    episode's support rows under their pool labels: it names the pool's
+    class and the pool row, e.g. `class 'c1', pool row 13: feature row has
+    zero norm`.
     """
     if iterations < 1:
         raise InvalidSize(f"iterations must be >= 1, got {iterations}")
@@ -168,9 +172,18 @@ def paired_accuracies(
             rows = np.stack(drawn)
             support = pool.features[rows[:, :, :m].reshape(len(drawn), -1)]
             query = pool.features[rows[:, :, m:].reshape(len(drawn), -1)]
-            filtered = denoise_or_pass(
-                support.reshape(-1, m, d), denoise_cfg, "every support class"
-            ).reshape(support.shape)
+            try:
+                filtered = denoise_or_pass(
+                    support.reshape(-1, m, d), denoise_cfg, "every support class"
+                ).reshape(support.shape)
+            except GfdError:
+                # Filter the chunk's episodes one at a time to locate the error.
+                for ep_rows in rows[:, :, :m].reshape(len(drawn), -1):
+                    denoise_dataset(
+                        LabeledFeatures(pool.features[ep_rows], pool.labels[ep_rows]),
+                        denoise_cfg, row_name=lambda i: f"pool row {ep_rows[i]}",
+                    )
+                raise
             pred = predict(np.stack([support, filtered]), class_rows, query, classifier_cfg)
             stop = start + len(drawn)
             acc_raw[start:stop], acc_filt[start:stop] = np.mean(pred == truth, axis=-1)

@@ -8,6 +8,12 @@ written as `%.17g`, so float64 round-trips exactly. A label that holds a
 comma or a line break, or starts with `#` or whitespace, would not read
 back as itself, so the text writer rejects it before the file is opened,
 as it does a matrix of zero columns, whose `label,` lines would not load.
+
+The text reader reads each line once. It parses the rows a chunk of about
+TEXT_CHUNK_BYTES of features at a time: one np.loadtxt call per chunk, or,
+for a chunk holding a line that call must not take or rejects, one float()
+call per value, which names the first bad line. A pipe therefore loads
+exactly as a regular file with the same bytes does.
 Text costs far more than binary: at 50,000 x 128 (2-core machine), text
 took about 5.5 s to save and 3.4 s to load, binary 0.1-0.2 s each.
 
@@ -43,8 +49,6 @@ import os
 import stat
 import struct
 from array import array
-from collections import deque
-from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -63,14 +67,15 @@ FORMATS = ("text", "bin")
 MAGIC = b"GFDENSE1"
 _HEADER = struct.Struct("<8sQQI")
 # ASCII separators that np.loadtxt strips from a value as whitespace but
-# float() rejects; a line holding one is left to the per-line parser.
+# float() rejects; a chunk holding one is parsed one value at a time.
 _NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 # The text writer formats the rows of about this many bytes of features into
-# one string per write call. Formatting builds about 10 times their size in
-# Python floats and strings, so a chunk is kept well below a denoise batch
-# (DENOISE_BATCH_BYTES): on 200 classes of 50 x 128 rows, 1 MiB chunks
-# raised the traced peak of `denoise` from 2.8 to 10.6 MB.
-TEXT_WRITE_BYTES = 1 << 16
+# one string per write call, and the reader parses as many rows per chunk.
+# Formatting builds about 10 times their size in Python floats and strings,
+# so a chunk is kept well below a denoise batch (DENOISE_BATCH_BYTES): on 200
+# classes of 50 x 128 rows, 1 MiB chunks raised the traced peak of `denoise`
+# from 2.8 to 10.6 MB.
+TEXT_CHUNK_BYTES = 1 << 16
 
 
 def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | None = None) -> None:
@@ -83,81 +88,80 @@ def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | Non
         raise NonFiniteValue(first_row + row, None if linenos is None else linenos[row])
 
 
-def _numbered_lines(path, start: int = 0, stop: int | None = None):
-    """(line number, line) for the lines start + 1 .. stop of a text file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        yield from islice(enumerate(fh, start=1), start, stop)
-
-
-def _data_lines(numbered, labels: list, linenos: array):
-    """Yield the values part of each data line of (line number, line)
-    pairs, appending its label and line number; raise ValueError at a line
-    the bulk parse must not take, so that the per-line parser names what is
-    wrong with it."""
-    for lineno, raw in numbered:
+def _records(lines):
+    """(line number, label, values) for each data line of a text file's
+    lines: values is the text after the label's comma, or None on a line
+    without one."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, _, values = line.partition(",")
-        if not values or any(c in values for c in _NUMPY_ONLY_SPACES):
-            raise ValueError(f"line {lineno}")
-        labels.append(label)
-        linenos.append(lineno)
-        yield values
+        if line and not line.startswith("#"):
+            label, comma, values = line.partition(",")
+            yield lineno, label, values if comma else None
 
 
-def _read_text(numbered, reread, d: int | None = None, first_row: int = 0):
-    """The text batch reader: the rows of (line number, line) pairs, and
-    each row's line number. Rows are numbered from first_row, and every
-    row must hold d values when d is given.
+def _first_record(records):
+    """The first record and the number of values on its line."""
+    first = next(records, None)
+    if first is None:
+        raise ParseError(0, "no data lines in file")
+    return first, (first[2] or "").count(",") + 1
 
-    All values are parsed by one np.loadtxt call. Lines it rejects are
-    parsed again line by line from reread(), the same pairs afresh, which
-    raises the typed error naming the line, or accepts the values only
-    float() takes (`1_0`, non-ASCII digits)."""
-    labels, linenos = [], array("q")
+
+def _chunk_rows(d: int) -> int:
+    """Rows of d values in a text chunk (see TEXT_CHUNK_BYTES)."""
+    return max(1, TEXT_CHUNK_BYTES // (8 * d))
+
+
+def _parse_chunk(chunk: list, d: int) -> np.ndarray:
+    """The values of a list of records, d of them on each line.
+
+    One np.loadtxt call parses them. A chunk holding a line that call must
+    not take, or one it rejects, is parsed one float() call per value
+    instead, which raises the typed error naming the first bad line, or
+    accepts the values only float() takes (`1_0`, non-ASCII digits)."""
+    values = [v for _, _, v in chunk]
     try:
-        values = _data_lines(numbered, labels, linenos)
-        first = next(values, None)
-        if first is None:
-            raise ParseError(0, "no data lines in file")
-        features = np.loadtxt(
-            chain((first,), values), delimiter=",", dtype=np.float64, ndmin=2, comments=None
-        )
-        if d is not None and features.shape[1] != d:
-            raise ValueError(f"{features.shape[1]} values, expected {d}")
+        if all(v and not any(c in v for c in _NUMPY_ONLY_SPACES) for v in values):
+            rows = np.loadtxt(values, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+            if rows.shape[1] == d:
+                return rows
     except ValueError:
-        return _read_text_per_line(reread(), d, first_row)
-    _check_finite(features, first_row, linenos)
-    return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
-
-
-def _read_text_per_line(numbered, d: int | None = None, first_row: int = 0):
-    """The text grammar, one line and one float() call per value at a time."""
-    labels, rows, linenos, dim = [], [], array("q"), d
-    for lineno, raw in numbered:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) < 2:
+        pass
+    rows = []
+    for lineno, _, v in chunk:
+        if v is None:
             raise ParseError(lineno, f"line {lineno}: expected label,v1,...,vd")
         try:
-            values = [float(p) for p in parts[1:]]
+            row = [float(p) for p in v.split(",")]
         except ValueError:
             raise ParseError(lineno, f"line {lineno}: non-numeric feature value")
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise InconsistentDimension(
-                lineno, f"line {lineno}: {len(values)} values, expected {dim}"
-            )
-        labels.append(parts[0])
-        rows.append(values)
-        linenos.append(lineno)
-    if not rows:
-        raise ParseError(0, "no data lines in file")
-    features = np.asarray(rows)
+        if len(row) != d:
+            raise InconsistentDimension(lineno, f"line {lineno}: {len(row)} values, expected {d}")
+        rows.append(row)
+    return np.asarray(rows)
+
+
+def _read_text(records, d: int | None = None, first_row: int = 0, n_hint: int = 0):
+    """The text batch reader: the rows of an iterator of records, and each
+    row's line number. Rows are numbered from first_row, and every row must
+    hold d values when d is given, else as many as the first.
+
+    Records are parsed a chunk at a time into one array of n_hint rows, the
+    number of records when known, which grows in place by a quarter when
+    they outnumber it, as np.loadtxt grows its own."""
+    first, width = _first_record(records)
+    d = width if d is None else d
+    records, step = chain((first,), records), _chunk_rows(d)
+    features, n, labels, linenos = np.empty((n_hint, d)), 0, [], array("q")
+    while chunk := list(islice(records, step)):
+        rows = _parse_chunk(chunk, d)
+        if n + len(rows) > len(features):
+            features.resize((max(n + len(rows), len(features) * 5 // 4), d))
+        features[n : n + len(rows)] = rows
+        n += len(rows)
+        labels += [label for _, label, _ in chunk]
+        linenos.extend([lineno for lineno, _, _ in chunk])
+    features.resize((n, d))
     _check_finite(features, first_row, linenos)
     return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
 
@@ -166,25 +170,7 @@ def load_features_text(path) -> LabeledFeatures:
     """Parse a comma-separated feature file as one batch; row order is
     preserved and labels stay opaque strings."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _read_text(enumerate(fh, start=1), partial(_numbered_lines, path))[0]
-
-
-def _text_labels(fh, path):
-    """The labels pass over a text file: every data row's label and line
-    number, and the number of values on the first data line. A line the
-    bulk parse must not take is parsed by the per-line parser, which
-    raises the error it would raise loading the whole file."""
-    labels, linenos = [], array("q")
-    values = _data_lines(enumerate(fh, start=1), labels, linenos)
-    try:
-        first = next(values, None)
-        deque(values, maxlen=0)
-    except ValueError:
-        _read_text_per_line(_numbered_lines(path))
-        raise
-    if first is None:
-        raise ParseError(0, "no data lines in file")
-    return np.asarray(labels), first.count(",") + 1, linenos
+        return _read_text(_records(fh))[0]
 
 
 def _binary_header(fh) -> tuple[int, int, int]:
@@ -254,7 +240,7 @@ class FeatureReader:
     values on the first data line, which every row must match)."""
 
     def __init__(self, path, fmt: str):
-        self._path, self._fmt = path, fmt
+        self._fmt = fmt
         self._fh = open(path, "rb") if fmt == "bin" else open(path, "r", encoding="utf-8")
         try:
             if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
@@ -263,7 +249,9 @@ class FeatureReader:
                 n, self.d, width = _binary_header(self._fh)
                 self.labels = _binary_labels(self._fh, n, width)
             else:
-                self.labels, self.d, self._linenos = _text_labels(self._fh, path)
+                records = _records(self._fh)
+                first, self.d = _first_record(records)
+                self.labels = np.asarray([first[1], *(label for _, label, _ in records)])
         except BaseException:
             self._fh.close()
             raise
@@ -292,19 +280,12 @@ class FeatureReader:
                 start = end
             return
         self._fh.seek(0)
-        numbered = enumerate(self._fh, start=1)
-        line = 0
+        records = _records(self._fh)
         for end in ends:
-            # The last batch runs to the end of the file.
-            stop = self._linenos[end - 1] if end < self.labels.size else None
-            lines = islice(numbered, None if stop is None else stop - line)
-            batch, linenos = _read_text(
-                lines, partial(_numbered_lines, self._path, line, stop), self.d, start
-            )
-            deque(lines, maxlen=0)  # what the per-line parser read instead
+            batch, linenos = _read_text(islice(records, end - start), self.d, start, end - start)
             yield batch, (lambda i, linenos=linenos: f"line {linenos[i]}")
             del batch
-            start, line = end, stop
+            start = end
 
 
 def _text_writer(labels: np.ndarray, d: int):
@@ -321,7 +302,7 @@ def _text_writer(labels: np.ndarray, d: int):
             raise ValueError(f"label {label!r} not representable in text format")
     # "%.17g" % v and f"{v:.17g}" format a float identically.
     row_format = "%s," + ",".join(["%.17g"] * d) + "\n"
-    step = max(1, TEXT_WRITE_BYTES // (8 * d))
+    step = _chunk_rows(d)
 
     def write_rows(fh, batch: LabeledFeatures) -> None:
         labels = batch.labels.tolist()
@@ -347,7 +328,7 @@ def feature_writer(fmt: str, labels: np.ndarray, d: int):
     fmt, and return its header bytes (the labels, for binary) and the
     function that writes a batch of its rows, which follow the labels in
     order, to a file opened "wb". A text batch is formatted a few rows
-    per string (see TEXT_WRITE_BYTES); binary features are written from
+    per string (see TEXT_CHUNK_BYTES); binary features are written from
     their own buffer, copied only when they are not C-contiguous
     little-endian float64."""
     return (_binary_writer if fmt == "bin" else _text_writer)(np.asarray(labels, dtype=np.str_), d)

@@ -7,8 +7,9 @@ import numpy as np
 
 from gfdenoise.centroids import CentroidStats
 from gfdenoise.classify import ncm_fit, ncm_predict, nn1_predict
+from gfdenoise.data import LabeledFeatures, class_index_map
 from gfdenoise.denoise import denoise_dataset
-from gfdenoise.episodes import sample_episode
+from gfdenoise.episodes import _draw_rows, sample_episode
 from gfdenoise.errors import GfdError
 from gfdenoise.graphs import class_graph, complete_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
@@ -27,18 +28,22 @@ def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, 
     """Per-episode query accuracy without and with support filtering,
     evaluated one episode at a time: sample_episode, classify_labels on the
     raw support, denoise_dataset, classify_labels on the filtered support.
-    eval-fewshot's errors do not name the class and row that denoise_dataset
-    adds to a filtering error, so the error it located is raised as it was."""
+    The support is filtered under its rows' pool labels, with each row
+    named by its pool row, so that a filtering error names both."""
+    index = class_index_map(pool.labels)
     acc_raw = np.empty(iterations)
     acc_filt = np.empty(iterations)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(iterations)):
         ep = sample_episode(pool, spec, child)
+        # The support's pool rows, drawn as sample_episode draws them.
+        rows = _draw_rows(np.random.default_rng(child), index, spec)[:, : spec.m_shot].ravel()
         truth = ep.query.labels
         pred_raw = classify_labels(ep.support, ep.query.features, classifier_cfg)
-        try:
-            filtered = denoise_dataset(ep.support, denoise_cfg)
-        except GfdError as exc:
-            raise exc.__cause__
+        filtered = denoise_dataset(
+            LabeledFeatures(ep.support.features, pool.labels[rows]), denoise_cfg,
+            row_name=lambda j: f"pool row {rows[j]}",
+        )
+        filtered = LabeledFeatures(filtered.features, ep.support.labels)
         pred_filt = classify_labels(filtered, ep.query.features, classifier_cfg)
         acc_raw[i] = np.mean(pred_raw == truth)
         acc_filt[i] = np.mean(pred_filt == truth)

@@ -523,6 +523,49 @@ class TestCliDenoiseStreamed:
 
 
 class TestCliEval:
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_eval_standard_reads_a_pipe_as_the_file(self, tmp_path, bad):
+        """The text reader reads its input once, so a pipe gives what the
+        file gives: the report for values only float() takes (`1_0`), and
+        for a bad value, the error naming its line."""
+        save_features_text(tmp_path / "pool.csv", small_pool())
+        rows = (tmp_path / "pool.csv").read_text().splitlines()
+        rows[0] = "c0,1_0," + rows[0].split(",", 2)[2]
+        if bad:
+            rows[1] = rows[1].rsplit(",", 1)[0] + ",x"
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join(rows) + "\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        outcomes = []
+        for path, stdin in ((src, None), ("/dev/stdin", src.read_text())):
+            out = tmp_path / f"{len(outcomes)}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gfdenoise.cli", "eval-standard", "--in", str(path),
+                 "--out", str(out)],
+                input=stdin, env=env, capture_output=True, text=True, timeout=120,
+            )
+            report = load_report(out) if out.exists() else {}
+            arms = [report.get(arm) for arm in ("without_filter", "with_filter")]
+            outcomes.append((proc.returncode, proc.stderr, arms))
+        assert outcomes[1] == outcomes[0]
+        if bad:
+            assert outcomes[0] == (
+                1, "gfdenoise: error: line 2: non-numeric feature value\n", [None, None]
+            )
+        else:
+            assert outcomes[0][:2] == (0, "") and None not in outcomes[0][2]
+
+    def test_eval_standard_without_test_rows_fails(self, tmp_path):
+        """Classes of at most 2 rows give the 80/20 split no test row."""
+        src, out = tmp_path / "pool.csv", tmp_path / "r.json"
+        save_features_text(src, LabeledFeatures(np.arange(1.0, 9.0).reshape(4, 2), list("aabb")))
+        assert _cli_stderr(["eval-standard", "--in", str(src), "--out", str(out)]) == (
+            1, "gfdenoise: error: no test rows: the 80/20 split takes them only from classes "
+            "of 3 or more rows\n",
+        )
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert run_cli(["eval-fewshot", "--bogus", "1"]) == 2
         assert "usage" in capsys.readouterr().err
@@ -691,6 +734,52 @@ class TestCliErrorsMatchPerEpisode:
         keep = np.flatnonzero(pool.labels != pool.labels[-1]).tolist() + [pool.n - 1]
         small = LabeledFeatures(pool.features[keep], pool.labels[keep])
         assert self._check(tmp_path, capsys, small).__name__ == "InsufficientPool"
+
+
+class TestCliFewshotFilteringErrors:
+    """eval-fewshot names the pool's class and the pool row of a support row
+    that fails filtering, as denoise_dataset names them on that episode."""
+
+    SPEC = EpisodeSpec(n_way=3, m_shot=3, q_query=2)
+    CFG = DenoiseConfig(knn_k=1, k1=1, k2=2)
+    ARGS = ["--n-way", "3", "--m-shot", "3", "--q-query", "2", "--iterations", "20",
+            "--knn-k", "1", "--k1", "1", "--k2", "2", "--seed", "0"]
+
+    def run(self, tmp_path, capsys, features):
+        """Exit code and stderr of eval-fewshot on 3 classes of 6 rows,
+        checked against the per-episode oracle."""
+        pool = LabeledFeatures(features, np.repeat(["a", "o", "p"], 6))
+        src, out = tmp_path / "pool.csv", tmp_path / "r.json"
+        save_features_text(src, pool)
+        code = run_cli(["eval-fewshot", "--in", str(src), "--out", str(out), *self.ARGS])
+        err = capsys.readouterr().err
+        _, message = outcome(lambda: per_episode_accuracies(
+            pool, self.SPEC, self.CFG, ClassifierConfig(), 20, 0
+        ))
+        assert err == f"gfdenoise: error: {message}\n"
+        assert not out.exists()
+        return code, err
+
+    @staticmethod
+    def features():
+        return np.abs(np.random.default_rng(0).standard_normal((18, 3))) + 0.5
+
+    def test_zero_row(self, tmp_path, capsys):
+        features = self.features()
+        features[4] = 0.0
+        assert self.run(tmp_path, capsys, features) == (
+            1, "gfdenoise: error: class 'a', pool row 4: feature row has zero norm\n"
+        )
+
+    def test_isolated_vertex(self, tmp_path, capsys):
+        """Row 9 is orthogonal to the rest of class o, which are mutually
+        similar, so in a 1-NN graph it alone keeps only a 0.0 edge."""
+        features = self.features()
+        features[6:12, 2] = 0.0
+        features[9] = [0.0, 0.0, 1.0]
+        assert self.run(tmp_path, capsys, features) == (
+            1, "gfdenoise: error: class 'o', pool row 9: vertex has zero degree\n"
+        )
 
 
 class TestCliVerifyTheory:

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from text_reference import load_text_per_line, save_text_per_value
 
+import gfdenoise.fileio
 from gfdenoise.data import LabeledFeatures
 from gfdenoise.errors import (
     BadMagic,
@@ -172,7 +174,7 @@ class TestTextFormat:
         finally:
             tracemalloc.stop()
         assert data.features.shape == (4000, 64)
-        assert peak < 3 * data.features.nbytes
+        assert peak < 1.75 * data.features.nbytes
 
 
 def text_outcome(load, path):
@@ -185,13 +187,20 @@ def text_outcome(load, path):
     return data.features.shape, data.features.tobytes(), data.labels.tolist()
 
 
-def same_outcome_as_reference(text):
+def same_outcome_as_reference(text, chunk_bytes=gfdenoise.fileio.TEXT_CHUNK_BYTES):
+    """The outcome of loading text, which must be the reference's, read
+    in chunks of about chunk_bytes of features."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
         path.write_bytes(text.encode("utf-8"))
-        got = text_outcome(load_features_text, path)
+        with mock.patch.object(gfdenoise.fileio, "TEXT_CHUNK_BYTES", chunk_bytes):
+            got = text_outcome(load_features_text, path)
         assert got == text_outcome(load_text_per_line, path)
     return got
+
+
+# Chunks of 1 to 8 rows of the files drawn below, and the default chunk.
+CHUNK_BYTES = st.sampled_from([8, 24, 64, gfdenoise.fileio.TEXT_CHUNK_BYTES])
 
 
 EDGE_FLOATS = [
@@ -288,15 +297,18 @@ class TestMatchesTextReference:
         assert "1.7976931348623157e+308" in text
 
     @settings(max_examples=200, deadline=None)
-    @given(text_files(bad_rows=False))
-    def test_valid_layouts_load_identically(self, text):
-        got = same_outcome_as_reference(text)
+    @given(text_files(bad_rows=False), CHUNK_BYTES)
+    def test_valid_layouts_load_identically(self, text, chunk_bytes):
+        got = same_outcome_as_reference(text, chunk_bytes)
         assert not isinstance(got[0], type), got
 
     @settings(max_examples=250, deadline=None)
-    @given(text_files(bad_rows=True))
-    def test_malformed_files_raise_identically(self, text):
-        same_outcome_as_reference(text)
+    @given(text_files(bad_rows=True), CHUNK_BYTES)
+    def test_malformed_files_raise_identically(self, text, chunk_bytes):
+        """A non-finite value in an early chunk is reported only once the
+        later chunks parse, as the reference checks finiteness after
+        parsing every line."""
+        same_outcome_as_reference(text, chunk_bytes)
 
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet="0123456789.,-+eE#anif _\t\r\n\x1c\xa0１", max_size=40))
@@ -314,12 +326,14 @@ class TestMatchesTextReference:
             "label only": "z",
         }.get(bad, f"z,1,{bad},3")
         text = "\n".join(good[:550] + [bad_row] + good[550:]) + "\n"
-        got = same_outcome_as_reference(text)
-        if bad == "1_0":
-            assert got[0] == (601, 3)
-        else:
-            assert got[0] in (ParseError, InconsistentDimension, NonFiniteValue)
-            assert got[2] == 551
+        # One chunk, or chunks of 100 rows with the bad row in the sixth.
+        for chunk_bytes in (gfdenoise.fileio.TEXT_CHUNK_BYTES, 100 * 8 * 3):
+            got = same_outcome_as_reference(text, chunk_bytes)
+            if bad == "1_0":
+                assert got[0] == (601, 3)
+            else:
+                assert got[0] in (ParseError, InconsistentDimension, NonFiniteValue)
+                assert got[2] == 551
 
     @pytest.mark.parametrize("text", [
         "a,1.0,2.0\r\nb,3.0,4.0\r\n",
@@ -353,14 +367,16 @@ class TestFeatureReader:
     """Reading a file a batch at a time gives what loading it whole gives."""
 
     @settings(max_examples=200, deadline=None)
-    @given(text_files(bad_rows=False), SHARES)
-    def test_text_batches_concatenate_to_the_loaded_file(self, text, shares):
-        """Values only float() takes send a batch to the per-line parser,
-        after which the next batch starts where it should."""
+    @given(text_files(bad_rows=False), SHARES, CHUNK_BYTES)
+    def test_text_batches_concatenate_to_the_loaded_file(self, text, shares, chunk_bytes):
+        """Values only float() takes send a chunk to the per-value parser,
+        after which the next chunk and batch start where they should."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.csv"
             path.write_bytes(text.encode("utf-8"))
-            assert streamed_outcome(path, "text", shares) == text_outcome(load_features_text, path)
+            with mock.patch.object(gfdenoise.fileio, "TEXT_CHUNK_BYTES", chunk_bytes):
+                streamed = streamed_outcome(path, "text", shares)
+            assert streamed == text_outcome(load_features_text, path)
 
     @settings(max_examples=200, deadline=None)
     @given(text_files(bad_rows=True), SHARES)
@@ -428,9 +444,7 @@ class TestFeatureWriter:
     def test_batches_write_the_bytes_of_one_save(self, tmp_path, fmt, monkeypatch):
         """Rows written batch by batch, and a text batch written a few rows
         per call, give the file that saving all rows at once gives."""
-        import gfdenoise.fileio
-
-        monkeypatch.setattr(gfdenoise.fileio, "TEXT_WRITE_BYTES", 2 * 8 * 3)
+        monkeypatch.setattr(gfdenoise.fileio, "TEXT_CHUNK_BYTES", 2 * 8 * 3)
         data = random_dataset(np.random.default_rng(6), n=11, d=3)
         save_features(tmp_path / "whole", data, fmt)
         header, write_rows = feature_writer(fmt, data.labels, data.d)
