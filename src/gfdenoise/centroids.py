@@ -8,6 +8,10 @@ eigenvector taken as 1/sqrt(m-1) per entry; the simulation uses the
 unit-norm eigenvector (entries 1/sqrt(m)), under which the k=1 filter
 preserves the centroid exactly, so the two are reported side by side
 rather than asserted equal.
+
+A simulation of one class size draws every trial from one random stream
+seeded by its seed: trial t is the stream's t-th m x d block, whatever
+the chunks the trials are simulated in.
 """
 
 from dataclasses import dataclass
@@ -59,16 +63,18 @@ class CentroidStats:
 
 
 def sample_gaussian_class(spec: GaussianClassSpec, seed) -> np.ndarray:
-    """Draw the m x d feature block; deterministic given the seed."""
-    return _draw_trials(spec, [seed])[0]
+    """Draw the m x d feature block; deterministic given the seed. It is
+    trial 0 of monte_carlo_centroid_stats(spec, ..., seed=seed)."""
+    return _draw_trials(spec, np.random.default_rng(seed), 1)[0]
 
 
-def _draw_trials(spec: GaussianClassSpec, seeds) -> np.ndarray:
-    """The (T, m, d) feature blocks of T trials, one per seed: block t is
-    what sample_gaussian_class(spec, seeds[t]) draws."""
-    block = np.empty((len(seeds), spec.m, spec.d))
-    for t, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=block[t])
+def _draw_trials(spec: GaussianClassSpec, rng, count: int) -> np.ndarray:
+    """The (count, m, d) feature blocks of the next count trials of rng's
+    stream: block t holds the stream's next m * d normals after those of
+    block t - 1, so drawing a run of trials at once or in pieces gives the
+    same blocks."""
+    block = np.empty((count, spec.m, spec.d))
+    rng.standard_normal(out=block)
     # In place, and equal to mu + sigma * z: IEEE products and sums commute.
     block *= spec.sigma
     block += spec.mu
@@ -103,16 +109,19 @@ def monte_carlo_centroid_stats(
 
     Per trial: draw the features, build the class graph, apply the ideal
     rank-k low-pass, and accumulate both the raw and the filtered rows.
-    Trials use seed streams spawned from one master seed, so each trial is
-    reproducible independent of execution order. Returns (raw, filtered)
-    stats; callers should use >= 100 trials for meaningful estimates.
+    All trials draw from one stream, np.random.default_rng(seed): trial t
+    is its t-th consecutive m x d block, so trial 0 is
+    sample_gaussian_class(spec, seed). Returns (raw, filtered) stats;
+    callers should use >= 100 trials for meaningful estimates.
 
     Trials are simulated a chunk at a time (see EPISODE_CHUNK_BYTES, which
     counts a chunk's feature rows and, for a kNN graph, its m x m graphs;
     a chunk holds at least one trial): the chunk's blocks are drawn into
     one stack, which is filtered by one apply_filter call and reduced to
-    per-trial sums. Those are added to the totals one trial after another,
-    so the stats are bit-identical to a loop over single trials.
+    per-trial sums. A chunk's blocks are the stream's next blocks, and the
+    sums are added to the totals one trial after another, so the stats do
+    not depend on the chunk size and are bit-identical to a loop over
+    single trials.
     """
     if not 1 <= k <= spec.m:
         raise InvalidRange(f"need 1 <= k <= m, got k={k} m={spec.m}")
@@ -131,14 +140,12 @@ def monte_carlo_centroid_stats(
     trial_bytes = 8 * m * (d if fixed_basis is not None else d + m)
     chunk = max(1, EPISODE_CHUNK_BYTES // trial_bytes)
 
-    # Spawning a chunk's seeds at a time gives the same seeds as spawning
-    # all of them at once, without holding them all.
-    master = np.random.SeedSequence(seed)
+    rng = np.random.default_rng(seed)
     # totals[0] holds the sums and totals[1] the sums of squares, each of
     # the raw arm then the filtered arm: (2, 2, 1, d).
     totals = np.zeros((2, 2, 1, d))
     for start in range(0, trials, chunk):
-        F = _draw_trials(spec, master.spawn(min(chunk, trials - start)))
+        F = _draw_trials(spec, rng, min(chunk, trials - start))
         basis = fixed_basis
         if basis is None:
             basis = eigendecompose(normalized_laplacian(class_graph(F, graph_kind, knn_k)))

@@ -19,7 +19,7 @@ from .config import RunConfig, build_run_config, config_echo, parse_config_file
 from .data import LabeledFeatures, make_gaussian_pool, stratified_split
 from .denoise import batch_ends, denoise_dataset
 from .episodes import classify_episode, paired_accuracies, paired_report, per_m_seeds
-from .errors import ConfigError, GfdError, InsufficientPool
+from .errors import ConfigError, DimensionMismatch, GfdError, InsufficientPool
 # save_features is unused here, but perfbench/layertrace.py traces it in this module.
 from .fileio import (  # noqa: F401
     FeatureReader,
@@ -98,26 +98,32 @@ def _emit(cfg: RunConfig, report: dict) -> None:
 def _cmd_denoise(cfg: RunConfig) -> None:
     if cfg.input_path is None or cfg.output_path is None:
         raise ConfigError("denoise requires --in and --out")
-    with FeatureReader(cfg.input_path, cfg.fmt) as reader:
-        header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
-        # --out is replaced only once every batch is written; the temporary
-        # file is removed if any batch fails.
-        tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
+    out = cfg.output_path
+    # --out is replaced only once every batch is written; the temporary
+    # file is removed if any batch fails. Errors name --out, not the
+    # temporary file, and come before the input is read.
+    if os.path.isdir(out):
+        raise IsADirectoryError(f"--out {out}: Is a directory")
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
         fh = open(tmp, "xb")
-        try:
-            with fh:
-                fh.write(header)
-                # Each batch of whole classes is filtered in place and
-                # written, then dropped before the next one is read.
-                for batch, row_name in reader.batches(batch_ends(reader.labels, reader.d)):
-                    write_rows(fh, denoise_dataset(
-                        batch, cfg.denoise, out=batch.features, row_name=row_name
-                    ))
-                    del batch
-            os.replace(tmp, cfg.output_path)
-        except BaseException:
-            os.remove(tmp)
-            raise
+    except OSError as exc:
+        raise type(exc)(f"--out {out}: {exc.strerror}") from None
+    try:
+        with fh, FeatureReader(cfg.input_path, cfg.fmt) as reader:
+            header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
+            fh.write(header)
+            # Each batch of whole classes is filtered in place and written,
+            # then dropped before the next one is read.
+            for batch, row_name in reader.batches(batch_ends(reader.labels, reader.d)):
+                write_rows(fh, denoise_dataset(
+                    batch, cfg.denoise, out=batch.features, row_name=row_name
+                ))
+                del batch
+        os.replace(tmp, out)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _cmd_eval_fewshot(cfg: RunConfig) -> None:
@@ -143,6 +149,10 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
     data = _load_pool(cfg)
     if cfg.test_path is not None:
         train, test = data, load_features(cfg.test_path, cfg.fmt)
+        if test.d != train.d:
+            raise DimensionMismatch(
+                f"io.test {cfg.test_path}: {test.d} features per row, train rows have {train.d}"
+            )
     else:
         train, test = stratified_split(data, test_fraction=0.2, seed=cfg.seed)
     if test.n == 0:

@@ -50,15 +50,17 @@ def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, 
     return acc_raw, acc_filt
 
 
-def draw_gaussian_class(spec, seed):
-    """One trial's m x d block, drawn as sample_gaussian_class defines it."""
-    return spec.mu + spec.sigma * np.random.default_rng(seed).standard_normal((spec.m, spec.d))
+def draw_gaussian_class(spec, rng):
+    """One trial's m x d block, drawn as sample_gaussian_class defines it:
+    the next m * d normals of rng, a Generator or a seed of a new one."""
+    return spec.mu + spec.sigma * np.random.default_rng(rng).standard_normal((spec.m, spec.d))
 
 
 def per_trial_centroid_stats(spec, graph_kind, k, trials, seed, knn_k=None):
     """monte_carlo_centroid_stats one trial at a time: the trial's m x d
-    block drawn from its own spawned stream, its own graph (or the complete
-    graph's shared basis), apply_filter, and its sums added to the totals."""
+    block drawn as the next block of the seed's one stream, its own graph
+    (or the complete graph's shared basis), apply_filter, and its sums
+    added to the totals."""
     if knn_k is None:
         knn_k = spec.m - 1
     gains = step_response(k, k, 0.0, spec.m)
@@ -67,8 +69,9 @@ def per_trial_centroid_stats(spec, graph_kind, k, trials, seed, knn_k=None):
         fixed_basis = eigendecompose(normalized_laplacian(complete_graph(spec.m)))
     sums = np.zeros((2, spec.d))
     sumsq = np.zeros((2, spec.d))
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        F = draw_gaussian_class(spec, child)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        F = draw_gaussian_class(spec, rng)
         basis = fixed_basis
         if basis is None:
             basis = eigendecompose(normalized_laplacian(class_graph(F, graph_kind, knn_k)))

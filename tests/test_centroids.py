@@ -259,15 +259,26 @@ class TestChunkedEngine:
         trials = chunk - 1 if at == "below_chunk" else 3 * chunk + 1
         check_against_per_trial_loop(graph, m, d, 1, trials)
 
-    def test_trial_rows_are_sample_gaussian_class(self):
+    @pytest.mark.parametrize("pieces", [[6], [1, 2, 3], [1] * 6])
+    def test_a_chunk_is_its_trials_drawn_block_by_block(self, pieces):
+        """Drawing trials at once, in pieces or one at a time from one stream
+        gives the same blocks, each the stream's next m * d normals."""
         spec = spec_of(5, 3, mu=-2.0, sigma=0.5)
-        children = np.random.SeedSequence(8).spawn(6)
-        block = centroids._draw_trials(spec, children)
-        assert block.shape == (6, 5, 3)
-        for rows, child in zip(block, np.random.SeedSequence(8).spawn(6)):
-            assert rows.tobytes() == sample_gaussian_class(spec, child).tobytes()
-        for rows, child in zip(block, np.random.SeedSequence(8).spawn(6)):
-            assert rows.tobytes() == draw_gaussian_class(spec, child).tobytes()
+        whole = centroids._draw_trials(spec, np.random.default_rng(8), 6)
+        assert whole.shape == (6, 5, 3)
+        rng = np.random.default_rng(8)
+        pieced = np.concatenate([centroids._draw_trials(spec, rng, n) for n in pieces])
+        assert pieced.tobytes() == whole.tobytes()
+        rng = np.random.default_rng(8)
+        for rows in whole:
+            assert rows.tobytes() == draw_gaussian_class(spec, rng).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 8, 2**40])
+    def test_trial_0_is_sample_gaussian_class(self, seed):
+        spec = spec_of(5, 3, mu=-2.0, sigma=0.5)
+        first = centroids._draw_trials(spec, np.random.default_rng(seed), 4)[0]
+        assert first.tobytes() == sample_gaussian_class(spec, seed).tobytes()
+        assert first.tobytes() == draw_gaussian_class(spec, seed).tobytes()
 
     @pytest.mark.parametrize("graph,m,d", [("complete", 5, 8), ("knn", 100, 8), ("knn", 200, 1)])
     def test_chunks_fit_the_budget(self, monkeypatch, graph, m, d):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from reference import outcome, per_episode_accuracies
 
 import gfdenoise
+import gfdenoise.cli
 import gfdenoise.denoise
 from gfdenoise.centroids import GaussianClassSpec, monte_carlo_centroid_stats
 from gfdenoise.cli import FLAGS, build_parser, load_run_config, run_cli
@@ -345,6 +346,30 @@ class TestCliDenoise:
         ])
         assert code == 1
 
+    def test_out_in_missing_directory_names_out(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.csv", tmp_path / "missing" / "out.csv"
+        save_features_text(src, small_pool())
+        assert run_cli(["denoise", "--in", str(src), "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == (
+            f"gfdenoise: error: --out {dst}: No such file or directory\n"
+        )
+        assert os.listdir(tmp_path) == ["in.csv"]
+
+    def test_directory_out_is_refused_before_reading(self, tmp_path, capsys, monkeypatch):
+        """No input is read, and the directory and its parent are left as
+        they were."""
+        src, dst = tmp_path / "in.csv", tmp_path / "outdir"
+        save_features_text(src, small_pool())
+        dst.mkdir()
+        (dst / "kept").write_text("x")
+        opened = []
+        monkeypatch.setattr(gfdenoise.cli, "FeatureReader", lambda *args: opened.append(args))
+        assert run_cli(["denoise", "--in", str(src), "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == f"gfdenoise: error: --out {dst}: Is a directory\n"
+        assert opened == []
+        assert sorted(os.listdir(tmp_path)) == ["in.csv", "outdir"]
+        assert os.listdir(dst) == ["kept"]
+
 
 class TestCliFilteringErrors:
     """An error raised while a class is filtered names the class and its
@@ -523,6 +548,25 @@ class TestCliDenoiseStreamed:
 
 
 class TestCliEval:
+    def test_test_file_width_is_checked_before_filtering(self, tmp_path, capsys, monkeypatch):
+        """An io.test file whose rows are narrower than --in's is refused
+        right after loading, naming the file and both widths."""
+        src, test, cfg = tmp_path / "in.csv", tmp_path / "test.csv", tmp_path / "test.cfg"
+        pool = small_pool()
+        save_features_text(src, pool)
+        save_features_text(test, LabeledFeatures(pool.features[:, :5], pool.labels))
+        cfg.write_text(f"io.test = {test}\n")
+        filtered = []
+        monkeypatch.setattr(gfdenoise.cli, "denoise_dataset", lambda *a, **kw: filtered.append(a))
+        out = tmp_path / "out.json"
+        assert run_cli(["eval-standard", "--config", str(cfg), "--in", str(src),
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"gfdenoise: error: io.test {test}: 5 features per row, train rows have 8\n"
+        )
+        assert filtered == []
+        assert not out.exists()
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
     @pytest.mark.parametrize("bad", [False, True])
     def test_eval_standard_reads_a_pipe_as_the_file(self, tmp_path, bad):
