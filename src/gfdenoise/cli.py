@@ -1,14 +1,15 @@
 """Command-line surface: denoise, eval-fewshot, eval-standard, verify-theory.
 
 Exit codes: 0 success, 2 configuration error, 1 runtime error. Diagnostics
-go to stderr; reports go to the --out path (or stdout when omitted).
+go to stderr. run_cli writes each mode's report, its body with the mode and
+config echo added, to the --out path (or stdout when omitted).
 """
 
 import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -56,12 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Per-class graph low-pass filtering of labeled feature vectors",
     )
     sub = parser.add_subparsers(dest="mode", required=True, metavar="mode")
-    for mode, help_text in (
-        ("denoise", "filter a labeled feature file class by class"),
-        ("eval-fewshot", "paired with/without-filter few-shot evaluation"),
-        ("eval-standard", "paired evaluation on a train/test split"),
-        ("verify-theory", "centroid statistics: analytic factors vs Monte Carlo"),
-    ):
+    for mode, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(mode, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
         for key, flag in FLAGS.items():
@@ -86,13 +82,6 @@ def _load_pool(cfg: RunConfig) -> LabeledFeatures:
         sigma=cfg.pool.sigma,
         seed=cfg.seed,
     )
-
-
-def _emit(cfg: RunConfig, report: dict) -> None:
-    if cfg.output_path is not None:
-        emit_report(report, cfg.output_path)
-    else:
-        print(report_text(report))
 
 
 def _cmd_denoise(cfg: RunConfig) -> None:
@@ -126,26 +115,23 @@ def _cmd_denoise(cfg: RunConfig) -> None:
         raise
 
 
-def _cmd_eval_fewshot(cfg: RunConfig) -> None:
+def _cmd_eval_fewshot(cfg: RunConfig) -> dict:
     pool = _load_pool(cfg)
-    report = {"mode": cfg.mode, "config": config_echo(cfg)}
 
     def paired(spec, seed):
         return paired_report(
             *paired_accuracies(pool, spec, cfg.denoise, cfg.classifier, cfg.iterations, seed)
         )
 
-    if cfg.m_values is not None:
-        report["results"] = [
-            {"m_shot": m, **paired(replace(cfg.episode, m_shot=m), m_seed)}
-            for m, m_seed in zip(cfg.m_values, per_m_seeds(cfg.seed, cfg.m_values))
-        ]
-    else:
-        report.update(paired(cfg.episode, cfg.seed))
-    _emit(cfg, report)
+    if cfg.m_values is None:
+        return paired(cfg.episode, cfg.seed)
+    return {"results": [
+        {"m_shot": m, **paired(replace(cfg.episode, m_shot=m), m_seed)}
+        for m, m_seed in zip(cfg.m_values, per_m_seeds(cfg.seed, cfg.m_values))
+    ]}
 
 
-def _cmd_eval_standard(cfg: RunConfig) -> None:
+def _cmd_eval_standard(cfg: RunConfig) -> dict:
     data = _load_pool(cfg)
     if cfg.test_path is not None:
         train, test = data, load_features(cfg.test_path, cfg.fmt)
@@ -166,29 +152,23 @@ def _cmd_eval_standard(cfg: RunConfig) -> None:
         float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))
         for rows in (train, filtered_train)
     )
-    report = {
-        "mode": cfg.mode,
-        "config": config_echo(cfg),
+    return {
         "train_rows": train.n,
         "test_rows": test.n,
         "without_filter": {"accuracy": acc_raw},
         "with_filter": {"accuracy": acc_filt},
         "delta": acc_filt - acc_raw,
     }
-    _emit(cfg, report)
 
 
-def _cmd_verify_theory(cfg: RunConfig) -> None:
+def _cmd_verify_theory(cfg: RunConfig) -> dict:
     """Monte Carlo centroid stats per theory.m_values entry, each from its
     own seed. knn_k is clipped to m - 1 for each m; the echo shows it as set,
     since the clipped value differs per m."""
     results = []
     for m, m_seed in zip(cfg.theory.m_values, per_m_seeds(cfg.seed, cfg.theory.m_values)):
         spec = centroids.GaussianClassSpec(
-            mu=np.full(cfg.theory.d, cfg.theory.mu),
-            sigma=cfg.theory.sigma,
-            m=int(m),
-            d=cfg.theory.d,
+            mu=np.full(cfg.theory.d, cfg.theory.mu), sigma=cfg.theory.sigma, m=m, d=cfg.theory.d
         )
         raw, filt = centroids.monte_carlo_centroid_stats(
             spec,
@@ -196,9 +176,9 @@ def _cmd_verify_theory(cfg: RunConfig) -> None:
             k=cfg.theory.k,
             trials=cfg.iterations,
             seed=m_seed,
-            knn_k=cfg.denoise.for_class_size(int(m)).knn_k,
+            knn_k=cfg.denoise.for_class_size(m).knn_k,
         )
-        mean_factor, cov_factor = centroids.analytic_centroid_factors(int(m))
+        mean_factor, cov_factor = centroids.analytic_centroid_factors(m)
         raw_norm_sq = float(np.dot(raw.mean_est, raw.mean_est))
         measured_mean_factor = (
             float(np.dot(filt.mean_est, raw.mean_est) / raw_norm_sq)
@@ -209,32 +189,20 @@ def _cmd_verify_theory(cfg: RunConfig) -> None:
             filt.cov_trace_est / raw.cov_trace_est if raw.cov_trace_est > 0.0 else float("nan")
         )
         results.append({
-            "m": int(m),
+            "m": m,
             "analytic": {"mean_factor": mean_factor, "cov_factor": cov_factor},
             "monte_carlo": {
                 "mean_factor": measured_mean_factor,
                 "cov_trace_ratio": measured_cov_ratio,
-                "raw": {
-                    "mean_est": raw.mean_est,
-                    "cov_trace_est": raw.cov_trace_est,
-                    "trials": raw.trials,
-                },
-                "filtered": {
-                    "mean_est": filt.mean_est,
-                    "cov_trace_est": filt.cov_trace_est,
-                    "trials": filt.trials,
-                },
+                "raw": asdict(raw),
+                "filtered": asdict(filt),
             },
             "mean_factor_agrees": bool(
                 abs(measured_mean_factor - mean_factor) <= 0.05 * mean_factor
             ),
-            "cov_factor_agrees": bool(
-                abs(measured_cov_ratio - cov_factor) <= 0.05 * cov_factor
-            ),
+            "cov_factor_agrees": bool(abs(measured_cov_ratio - cov_factor) <= 0.05 * cov_factor),
         })
-    report = {
-        "mode": cfg.mode,
-        "config": config_echo(cfg),
+    return {
         "results": results,
         "deviation_note": (
             "analytic factors assume the complete graph's constant eigenvector has "
@@ -244,14 +212,14 @@ def _cmd_verify_theory(cfg: RunConfig) -> None:
             "Both views are reported; disagreement is expected."
         ),
     }
-    _emit(cfg, report)
 
 
+# Mode -> its --help line and its function, which returns its report body or None.
 _COMMANDS = {
-    "denoise": _cmd_denoise,
-    "eval-fewshot": _cmd_eval_fewshot,
-    "eval-standard": _cmd_eval_standard,
-    "verify-theory": _cmd_verify_theory,
+    "denoise": ("filter a labeled feature file class by class", _cmd_denoise),
+    "eval-fewshot": ("paired with/without-filter few-shot evaluation", _cmd_eval_fewshot),
+    "eval-standard": ("paired evaluation on a train/test split", _cmd_eval_standard),
+    "verify-theory": ("centroid statistics: analytic factors vs Monte Carlo", _cmd_verify_theory),
 }
 
 
@@ -269,7 +237,13 @@ def run_cli(argv) -> int:
     try:
         with warnings.catch_warnings():  # one line per warning, without a source location
             warnings.showwarning = lambda w, *_: sys.stderr.write(f"gfdenoise: warning: {w}\n")
-            _COMMANDS[cfg.mode](cfg)
+            body = _COMMANDS[cfg.mode][1](cfg)
+            if body is not None:
+                report = {"mode": cfg.mode, "config": config_echo(cfg), **body}
+                if cfg.output_path is not None:
+                    emit_report(report, cfg.output_path)
+                else:
+                    print(report_text(report))
     except ConfigError as exc:
         print(f"gfdenoise: config error: {exc}", file=sys.stderr)
         return 2

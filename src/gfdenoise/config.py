@@ -70,6 +70,19 @@ class PoolConfig:
     separation: float = 4.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        # make_gaussian_pool checks its arguments too; these name the keys.
+        if self.classes < 1:
+            raise InvalidSize(f"pool.classes must be >= 1, got {self.classes}")
+        if self.per_class < 1:
+            raise InvalidSize(f"pool.per_class must be >= 1, got {self.per_class}")
+        if self.dim < self.classes:
+            raise InvalidSize(f"pool.dim must be >= pool.classes = {self.classes}, got {self.dim}")
+        if not 0.0 < self.sigma < math.inf:
+            raise InvalidRange(f"pool.sigma must be positive and finite, got {self.sigma}")
+        if not 0.0 <= self.separation < math.inf:
+            raise InvalidRange(f"pool.separation must be finite and >= 0, got {self.separation}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -95,6 +95,14 @@ class NonFiniteValue(GfdError):
         super().__init__(f"{where}: non-finite feature value")
 
 
+class BadLabel(GfdError):
+    """A binary feature file holds a label that is not valid UTF-8."""
+
+    def __init__(self, row: int, message: str | None = None):
+        self.row = row
+        super().__init__(message or f"row {row}: label is not valid UTF-8")
+
+
 class BadMagic(GfdError):
     """A binary feature file does not start with the expected magic."""
 

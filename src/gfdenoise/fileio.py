@@ -8,6 +8,8 @@ written as `%.17g`, so float64 round-trips exactly. A label that holds a
 comma or a line break, or starts with `#` or whitespace, would not read
 back as itself, so the text writer rejects it before the file is opened,
 as it does a matrix of zero columns, whose `label,` lines would not load.
+Text is UTF-8: a line holding a byte that is not raises ParseError naming
+the line, as the line is read.
 
 The text reader reads each line once. It parses the rows a chunk of about
 TEXT_CHUNK_BYTES of features at a time: one np.loadtxt call per chunk, or,
@@ -29,6 +31,7 @@ Binary format (all integers little-endian):
 
 The size the header implies is checked against a regular file's size
 before anything is allocated, so a corrupt header raises TruncatedFile.
+A label that is not UTF-8 raises BadLabel naming its row.
 
 Each format has one batch reader, which parses and checks a run of rows,
 and one writer, which writes a file's header and then its rows a batch at
@@ -40,12 +43,13 @@ straight into the array returned and written from the array's own buffer.
 
 Both readers reject NaN and infinite feature values.
 
-Reports are JSON documents; emit_report/load_report round-trip floats
-exactly.
+Reports are JSON documents, numpy arrays and scalars written as lists and
+numbers; emit_report/load_report round-trip floats exactly.
 """
 
 import json
 import os
+import re
 import stat
 import struct
 from array import array
@@ -55,6 +59,7 @@ import numpy as np
 
 from .data import LabeledFeatures
 from .errors import (
+    BadLabel,
     BadMagic,
     InconsistentDimension,
     NonFiniteValue,
@@ -76,6 +81,9 @@ _NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 # classes of 50 x 128 rows, 1 MiB chunks raised the traced peak of `denoise`
 # from 2.8 to 10.6 MB.
 TEXT_CHUNK_BYTES = 1 << 16
+# Text is decoded with errors="surrogateescape", which maps each byte that is
+# not UTF-8 to one of these code points; strict UTF-8 decodes to none of them.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | None = None) -> None:
@@ -88,11 +96,19 @@ def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | Non
         raise NonFiniteValue(first_row + row, None if linenos is None else linenos[row])
 
 
+def _open_text(path):
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
 def _records(lines):
     """(line number, label, values) for each data line of a text file's
-    lines: values is the text after the label's comma, or None on a line
-    without one."""
+    lines (read by _open_text): values is the text after the label's comma,
+    or None on a line without one. A line holding a byte that is not UTF-8
+    raises ParseError when it is reached."""
     for lineno, raw in enumerate(lines, start=1):
+        if not raw.isascii() and (escaped := _ESCAPED_BYTE.search(raw)):
+            byte = ord(escaped.group()) - 0xDC00
+            raise ParseError(lineno, f"line {lineno}: byte 0x{byte:02x} is not valid UTF-8")
         line = raw.strip()
         if line and not line.startswith("#"):
             label, comma, values = line.partition(",")
@@ -169,7 +185,7 @@ def _read_text(records, d: int | None = None, first_row: int = 0, n_hint: int = 
 def load_features_text(path) -> LabeledFeatures:
     """Parse a comma-separated feature file as one batch; row order is
     preserved and labels stay opaque strings."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return _read_text(_records(fh))[0]
 
 
@@ -204,9 +220,15 @@ def _binary_labels(fh, n: int, width: int) -> np.ndarray:
     block = fh.read(n * width)
     if len(block) < n * width:
         raise TruncatedFile("label block shorter than header implies")
-    return np.asarray(
-        [block[i * width : (i + 1) * width].rstrip(b"\0").decode("utf-8") for i in range(n)]
-    )
+    return np.asarray([_binary_label(block[i * width : (i + 1) * width], i) for i in range(n)])
+
+
+def _binary_label(record: bytes, row: int) -> str:
+    try:
+        return record.rstrip(b"\0").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise BadLabel(row, f"row {row}: label byte 0x{byte:02x} is not valid UTF-8") from None
 
 
 def _binary_rows(fh, rows: int, d: int, first_row: int = 0) -> np.ndarray:
@@ -241,7 +263,7 @@ class FeatureReader:
 
     def __init__(self, path, fmt: str):
         self._fmt = fmt
-        self._fh = open(path, "rb") if fmt == "bin" else open(path, "r", encoding="utf-8")
+        self._fh = open(path, "rb") if fmt == "bin" else _open_text(path)
         try:
             if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
                 raise NotRegularFile(f"{path} is read twice, so it must be a regular file")
@@ -355,26 +377,21 @@ def save_features(path, data: LabeledFeatures, fmt: str) -> None:
         write_rows(fh, data)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
-
-
 def emit_report(report: dict, path) -> None:
     """Write a report document as JSON (numpy scalars/arrays converted)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report_text(report) + "\n")
 
 
+def _to_json(obj):
+    """json.dumps' hook: numpy arrays and scalars as lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def report_text(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True, default=_to_json)
 
 
 def load_report(path) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -24,6 +25,7 @@ from gfdenoise.centroids import GaussianClassSpec, monte_carlo_centroid_stats
 from gfdenoise.cli import FLAGS, build_parser, load_run_config, run_cli
 from gfdenoise.config import (
     CONFIG_KEYS,
+    MODES,
     PoolConfig,
     RunConfig,
     build_run_config,
@@ -38,7 +40,7 @@ from gfdenoise.episodes import (
     run_fewshot_eval,
     sweep_shots,
 )
-from gfdenoise.errors import ConfigError, GfdError
+from gfdenoise.errors import ConfigError, GfdError, InvalidRange, InvalidSize
 from gfdenoise.fileio import (
     load_features,
     load_features_binary,
@@ -276,6 +278,55 @@ class TestFlagsAreConfigOverrides:
         assert build_run_config("verify-theory", {"iterations": "2"}, {}).iterations == 2
 
 
+class TestPoolConfig:
+    """pool.* is checked when the configuration is built, so a bad value
+    exits 2 and no report is written."""
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [
+            ("pool.classes = 0", "pool.classes must be >= 1, got 0"),
+            ("pool.per_class = 0", "pool.per_class must be >= 1, got 0"),
+            ("pool.dim = 3", "pool.dim must be >= pool.classes = {classes}, got 3"),
+            ("pool.classes = 5\npool.dim = 4", "pool.dim must be >= pool.classes = 5, got 4"),
+            ("pool.sigma = 0", "pool.sigma must be positive and finite, got 0.0"),
+            ("pool.sigma = -1", "pool.sigma must be positive and finite, got -1.0"),
+            ("pool.sigma = nan", "pool.sigma must be positive and finite, got nan"),
+            ("pool.sigma = inf", "pool.sigma must be positive and finite, got inf"),
+            ("pool.separation = -1", "pool.separation must be finite and >= 0, got -1.0"),
+            ("pool.separation = nan", "pool.separation must be finite and >= 0, got nan"),
+            ("pool.separation = inf", "pool.separation must be finite and >= 0, got inf"),
+        ],
+        ids=[
+            "classes", "per_class", "dim", "dim_below_classes", "sigma_zero",
+            "sigma_negative", "sigma_nan", "sigma_inf", "separation_negative",
+            "separation_nan", "separation_inf",
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["eval-fewshot", "eval-standard"])
+    def test_bad_pool_setting_is_config_error(self, tmp_path, capsys, setting, message, mode):
+        cfg = tmp_path / "pool.cfg"
+        cfg.write_text(setting + "\n")
+        out = tmp_path / "report.json"
+        code = run_cli([mode, "--config", str(cfg), "--iterations", "2", "--out", str(out)])
+        message = message.format(classes={"eval-fewshot": 20, "eval-standard": 10}[mode])
+        assert (code, capsys.readouterr().err) == (2, f"gfdenoise: config error: {message}\n")
+        assert not out.exists()
+
+    def test_bounds_at_the_edges(self):
+        assert PoolConfig(classes=1, per_class=1, dim=1, separation=0.0, sigma=1e-300)
+        with pytest.raises(InvalidSize):
+            PoolConfig(classes=3, dim=2)
+        with pytest.raises(InvalidRange):
+            PoolConfig(sigma=-0.0)
+
+    def test_make_gaussian_pool_keeps_its_own_checks(self):
+        with pytest.raises(InvalidSize, match="dim=3 cannot host 20 equidistant class means"):
+            make_gaussian_pool(n_classes=20, per_class=1, dim=3)
+        with pytest.raises(InvalidSize, match="at least one class and one sample per class"):
+            make_gaussian_pool(n_classes=2, per_class=0, dim=4)
+
+
 class TestCliDenoise:
     def test_denoise_round_trip(self, tmp_path):
         pool = small_pool()
@@ -413,6 +464,49 @@ class TestCliFilteringErrors:
         assert self.run(tmp_path, capsys, self.ORTHOGONAL, fmt, mode) == (
             1, f"gfdenoise: error: class 'o', {where}: vertex has zero degree\n"
         )
+
+
+class TestCliInputNotUtf8:
+    """A byte that is not UTF-8 is a typed error naming its text line or
+    binary row, raised by every reader alike; the exit code is 1."""
+
+    TEXT = "a,1,2\na,2,1\nb\xe9,3,4\nb,4,3\n".encode("latin-1")
+    TEXT_ERROR = "gfdenoise: error: line 3: byte 0xe9 is not valid UTF-8\n"
+
+    @pytest.mark.parametrize("mode", ["eval-standard", "denoise"])
+    def test_text_file(self, tmp_path, capsys, monkeypatch, mode):
+        """denoise fails in its labels pass: no batch is read and --out
+        never appears."""
+        src, dst = tmp_path / "in.csv", tmp_path / "out"
+        src.write_bytes(self.TEXT)
+        batches = []
+        monkeypatch.setattr(gfdenoise.fileio.FeatureReader, "batches", batches.append)
+        assert run_cli([mode, "--in", str(src), "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == self.TEXT_ERROR
+        assert batches == []
+        assert os.listdir(tmp_path) == ["in.csv"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_pipe(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfdenoise.cli", "eval-standard", "--in", "/dev/stdin",
+             "--out", str(tmp_path / "r.json")],
+            input=self.TEXT, env=env, capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.decode()) == (1, self.TEXT_ERROR)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("mode", ["eval-standard", "denoise"])
+    def test_binary_label(self, tmp_path, capsys, mode):
+        src, dst = tmp_path / "in.bin", tmp_path / "out"
+        save_features(src, LabeledFeatures(np.ones((4, 2)), ["a", "a", "bé", "b"]), "bin")
+        src.write_bytes(src.read_bytes().replace("é".encode("utf-8"), b"\xe9x"))
+        assert run_cli([mode, "--format", "bin", "--in", str(src), "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == (
+            "gfdenoise: error: row 2: label byte 0xe9 is not valid UTF-8\n"
+        )
+        assert os.listdir(tmp_path) == ["in.bin"]
 
 
 # Labels of rows in the layouts the streamed denoise must keep apart.
@@ -692,6 +786,49 @@ class TestCliEval:
         report = load_report(out)
         assert set(report) >= {"without_filter", "with_filter", "train_rows", "test_rows"}
         assert report["train_rows"] + report["test_rows"] == pool.n
+
+
+class TestReportSinks:
+    """run_cli writes every report: printed to stdout, it is the document
+    --out writes, apart from config.io.output."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval-fewshot", "--n-way", "3", "--m-shot", "2", "--q-query", "3", "--iterations", "5"],
+        ["eval-fewshot", "--config", "episode.m_values = 2,3", "--n-way", "3", "--q-query", "3",
+         "--iterations", "5"],
+        ["eval-standard", "--k1", "1", "--k2", "4"],
+        ["verify-theory", "--iterations", "20"],
+    ], ids=["fewshot", "sweep", "standard", "theory"])
+    def test_stdout_is_the_out_report(self, tmp_path, capsys, argv):
+        if "--config" in argv:  # the argument after --config is the file's text
+            at = argv.index("--config") + 1
+            (tmp_path / "run.cfg").write_text(argv[at] + "\n")
+            argv = [*argv[:at], str(tmp_path / "run.cfg"), *argv[at + 1:]]
+        if argv[0] != "verify-theory":
+            save_features_text(tmp_path / "pool.csv", small_pool())
+            argv += ["--in", str(tmp_path / "pool.csv")]
+        out = tmp_path / "report.json"
+        assert run_cli([*argv, "--seed", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli([*argv, "--seed", "4"]) == 0
+        printed = capsys.readouterr().out
+        written = out.read_text()
+        assert printed == written.replace(f'"output": {json.dumps(str(out))}', '"output": null')
+        assert json.loads(written)["config"]["io"]["output"] == str(out)
+        assert json.loads(printed)["config"]["io"]["output"] is None
+
+    def test_denoise_writes_no_report(self, tmp_path, capsys):
+        save_features_text(tmp_path / "pool.csv", small_pool())
+        argv = ["denoise", "--in", str(tmp_path / "pool.csv"), "--out", str(tmp_path / "f.csv")]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr() == ("", "")
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "pool.csv"]
+
+    def test_modes_are_the_config_modes(self):
+        """The mode table, the parser's subcommands and the config layer's
+        modes list the same modes in the same order."""
+        choices = next(a for a in build_parser()._actions if a.dest == "mode").choices
+        assert list(gfdenoise.cli._COMMANDS) == list(choices) == list(MODES)
 
 
 class TestCliMatchesLibrary:

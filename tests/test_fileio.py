@@ -20,6 +20,7 @@ from text_reference import load_text_per_line, save_text_per_value
 import gfdenoise.fileio
 from gfdenoise.data import LabeledFeatures
 from gfdenoise.errors import (
+    BadLabel,
     BadMagic,
     GfdError,
     InconsistentDimension,
@@ -177,22 +178,22 @@ class TestTextFormat:
         assert peak < 1.75 * data.features.nbytes
 
 
-def text_outcome(load, path):
+def text_outcome(load, path, *args):
     """The features' bits and the labels a loader returns, or the type,
     message, line and row of the GfdError it raises."""
     try:
-        data = load(path)
+        data = load(path, *args)
     except GfdError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "row", None)
     return data.features.shape, data.features.tobytes(), data.labels.tolist()
 
 
 def same_outcome_as_reference(text, chunk_bytes=gfdenoise.fileio.TEXT_CHUNK_BYTES):
-    """The outcome of loading text, which must be the reference's, read
-    in chunks of about chunk_bytes of features."""
+    """The outcome of loading text (or bytes), which must be the
+    reference's, read in chunks of about chunk_bytes of features."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with mock.patch.object(gfdenoise.fileio, "TEXT_CHUNK_BYTES", chunk_bytes):
             got = text_outcome(load_features_text, path)
         assert got == text_outcome(load_text_per_line, path)
@@ -335,6 +336,18 @@ class TestMatchesTextReference:
                 assert got[0] in (ParseError, InconsistentDimension, NonFiniteValue)
                 assert got[2] == 551
 
+    @settings(max_examples=200, deadline=None)
+    @given(text_files(bad_rows=False), st.data(), CHUNK_BYTES)
+    def test_a_byte_that_is_not_utf8_raises_as_the_reference(self, text, data, chunk_bytes):
+        """Bytes that are not UTF-8, put anywhere in a valid file (inside a
+        label, a value, a comment or a multi-byte character), raise the
+        ParseError naming the first line that holds one."""
+        raw = text.encode("utf-8")
+        at = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xed\xb2\x80"]))
+        got = same_outcome_as_reference(raw[:at] + bad + raw[at:], chunk_bytes)
+        assert got[0] is ParseError and "is not valid UTF-8" in got[1], got
+
     @pytest.mark.parametrize("text", [
         "a,1.0,2.0\r\nb,3.0,4.0\r\n",
         "\n# head\n\n a , 1.0 ,\t2.0\t\n\n#b,9,9\nb,\t3.0 , 4.0  \n\n",
@@ -431,6 +444,25 @@ class TestFeatureReader:
                 next(batches)
         assert exc.value.row == 4
         assert exc.value.line == (5 if fmt == "text" else None)
+
+    @pytest.mark.parametrize("fmt", ["text", "bin"])
+    def test_label_pass_names_the_line_or_row_that_is_not_utf8(self, tmp_path, fmt):
+        """The labels pass, which reads the whole file before any batch,
+        raises the error that loading the file raises."""
+        path = tmp_path / "f"
+        save_features(path, LabeledFeatures(np.ones((4, 2)), ["a", "b", "é", "d"]), fmt)
+        path.write_bytes(path.read_bytes().replace("é".encode("utf-8"), b"\xe9x"))
+        with pytest.raises(ParseError if fmt == "text" else BadLabel) as exc:
+            FeatureReader(path, fmt)
+        assert text_outcome(load_features, path, fmt) == (
+            type(exc.value), str(exc.value), getattr(exc.value, "line", None),
+            getattr(exc.value, "row", None),
+        )
+        assert str(exc.value) == (
+            "line 3: byte 0xe9 is not valid UTF-8" if fmt == "text"
+            else "row 2: label byte 0xe9 is not valid UTF-8"
+        )
+        assert getattr(exc.value, "line" if fmt == "text" else "row") == (3 if fmt == "text" else 2)
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     @pytest.mark.parametrize("fmt", ["text", "bin"])

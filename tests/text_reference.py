@@ -12,8 +12,13 @@ from gfdenoise.errors import InconsistentDimension, NonFiniteValue, ParseError
 
 def load_text_per_line(path) -> LabeledFeatures:
     labels, rows, linenos, dim = [], [], array("q"), None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            escaped = [ord(c) - 0xDC00 for c in raw if 0xDC80 <= ord(c) <= 0xDCFF]
+            if escaped:
+                raise ParseError(
+                    lineno, f"line {lineno}: byte 0x{escaped[0]:02x} is not valid UTF-8"
+                )
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
