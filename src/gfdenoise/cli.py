@@ -6,7 +6,9 @@ config echo added, to the --out path (or stdout when omitted).
 """
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -84,38 +86,53 @@ def _load_pool(cfg: RunConfig) -> LabeledFeatures:
     )
 
 
-def _cmd_denoise(cfg: RunConfig) -> None:
-    if cfg.input_path is None or cfg.output_path is None:
-        raise ConfigError("denoise requires --in and --out")
-    out = cfg.output_path
-    # --out is replaced only once every batch is written; the temporary
-    # file is removed if any batch fails. Errors name --out, not the
-    # temporary file, and come before the input is read.
-    if os.path.isdir(out):
-        raise IsADirectoryError(f"--out {out}: Is a directory")
-    tmp = f"{out}.{os.getpid()}.tmp"
+@contextlib.contextmanager
+def _out_path(out: str | None):
+    """The path a mode writes --out through, or None for stdout. An
+    existing --out that is not a regular file (a FIFO, or /dev/stdout on a
+    pipe) is written in place. Otherwise a temporary file is created beside
+    --out, symlinks followed, before any work; it replaces that path only
+    when the mode succeeds and is removed when it fails. Errors name --out."""
+    if out is None:
+        yield None
+        return
     try:
-        fh = open(tmp, "xb")
+        mode = os.stat(out).st_mode
+    except OSError:  # a missing --out is created; other faults show below
+        mode = stat.S_IFREG
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(f"--out {out}: Is a directory")
+    if not stat.S_ISREG(mode):
+        yield out
+        return
+    target = os.path.realpath(out)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     except OSError as exc:
         raise type(exc)(f"--out {out}: {exc.strerror}") from None
     try:
-        with fh, FeatureReader(cfg.input_path, cfg.fmt) as reader:
-            header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
-            fh.write(header)
-            # Each batch of whole classes is filtered in place and written,
-            # then dropped before the next one is read.
-            for batch, row_name in reader.batches(batch_ends(reader.labels, reader.d)):
-                write_rows(fh, denoise_dataset(
-                    batch, cfg.denoise, out=batch.features, row_name=row_name
-                ))
-                del batch
-        os.replace(tmp, out)
+        yield tmp
+        os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise
 
 
-def _cmd_eval_fewshot(cfg: RunConfig) -> dict:
+def _cmd_denoise(cfg: RunConfig, out: str) -> None:
+    with open(out, "wb") as fh, FeatureReader(cfg.input_path, cfg.fmt) as reader:
+        header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
+        fh.write(header)
+        # Each batch of whole classes is filtered in place and written, then
+        # dropped before the next one is read.
+        for batch, row_name in reader.batches(batch_ends(reader.labels, reader.d)):
+            write_rows(fh, denoise_dataset(
+                batch, cfg.denoise, out=batch.features, row_name=row_name
+            ))
+            del batch
+
+
+def _cmd_eval_fewshot(cfg: RunConfig, out: str | None) -> dict:
     pool = _load_pool(cfg)
 
     def paired(spec, seed):
@@ -131,7 +148,7 @@ def _cmd_eval_fewshot(cfg: RunConfig) -> dict:
     ]}
 
 
-def _cmd_eval_standard(cfg: RunConfig) -> dict:
+def _cmd_eval_standard(cfg: RunConfig, out: str | None) -> dict:
     data = _load_pool(cfg)
     if cfg.test_path is not None:
         train, test = data, load_features(cfg.test_path, cfg.fmt)
@@ -161,7 +178,7 @@ def _cmd_eval_standard(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_verify_theory(cfg: RunConfig) -> dict:
+def _cmd_verify_theory(cfg: RunConfig, out: str | None) -> dict:
     """Monte Carlo centroid stats per theory.m_values entry, each from its
     own seed. knn_k is clipped to m - 1 for each m; the echo shows it as set,
     since the clipped value differs per m."""
@@ -214,7 +231,9 @@ def _cmd_verify_theory(cfg: RunConfig) -> dict:
     }
 
 
-# Mode -> its --help line and its function, which returns its report body or None.
+# Mode -> its --help line and its function. The function takes the config
+# and the path _out_path gives for --out; denoise writes its output there,
+# and the report modes return their report body, which run_cli writes.
 _COMMANDS = {
     "denoise": ("filter a labeled feature file class by class", _cmd_denoise),
     "eval-fewshot": ("paired with/without-filter few-shot evaluation", _cmd_eval_fewshot),
@@ -231,22 +250,22 @@ def run_cli(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = load_run_config(ns)
+        if cfg.mode == "denoise" and (cfg.input_path is None or cfg.output_path is None):
+            raise ConfigError("denoise requires --in and --out")
     except (GfdError, OSError) as exc:
         print(f"gfdenoise: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        with warnings.catch_warnings():  # one line per warning, without a source location
+        with warnings.catch_warnings(), _out_path(cfg.output_path) as out:
+            # One line per warning, without a source location.
             warnings.showwarning = lambda w, *_: sys.stderr.write(f"gfdenoise: warning: {w}\n")
-            body = _COMMANDS[cfg.mode][1](cfg)
+            body = _COMMANDS[cfg.mode][1](cfg, out)
             if body is not None:
                 report = {"mode": cfg.mode, "config": config_echo(cfg), **body}
-                if cfg.output_path is not None:
-                    emit_report(report, cfg.output_path)
+                if out is not None:
+                    emit_report(report, out)
                 else:
                     print(report_text(report))
-    except ConfigError as exc:
-        print(f"gfdenoise: config error: {exc}", file=sys.stderr)
-        return 2
     except (GfdError, OSError, ValueError) as exc:
         print(f"gfdenoise: error: {exc}", file=sys.stderr)
         return 1

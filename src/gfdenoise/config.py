@@ -11,7 +11,7 @@ from typing import get_args
 from .denoise import DenoiseConfig
 from .episodes import ClassifierConfig, EpisodeSpec
 from .errors import ConfigError, GfdError, InvalidRange, InvalidSize
-from .fileio import FORMATS
+from .fileio import FORMATS, escaped_byte, open_text
 
 MODES = ("denoise", "eval-fewshot", "eval-standard", "verify-theory")
 # Modes that draw from the seed, and the fewest iterations of the modes
@@ -115,10 +115,12 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat `section.key = value` lines; `#` starts a comment."""
+    """Flat `section.key = value` lines of UTF-8 text; `#` starts a comment."""
     settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if (byte := escaped_byte(raw)) is not None:
+                raise ConfigError(f"{path}:{lineno}: byte 0x{byte:02x} is not valid UTF-8")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

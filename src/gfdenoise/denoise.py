@@ -104,9 +104,9 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     building a graph. Large connected kNN graphs with few passed frequencies
     (see LANCZOS_MIN_ROWS) are built sparse and solved for only the
     eigenpairs the filter passes; every other graph, and every stack, is
-    built dense and gets a full eigendecomposition. A stack gives, and
-    raises, what its blocks give one at a time: when it fails, the error is
-    the first failing block's.
+    built dense and gets a full eigendecomposition. A stack gives what its
+    blocks give one at a time and raises exactly when some block would; the
+    caller that knows the blocks locates the error.
     """
     F_c = np.asarray(F_c, dtype=np.float64)
     m = F_c.shape[-2]
@@ -115,19 +115,6 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     eff = cfg.for_class_size(m)
     if eff.k1 == m:
         return F_c.copy()
-    try:
-        return _filter(F_c, eff)
-    except GfdError:
-        if F_c.ndim == 2:
-            raise
-        for block in F_c:
-            _filter(block, eff)
-        raise
-
-
-def _filter(F_c: np.ndarray, eff: DenoiseConfig) -> np.ndarray:
-    """denoise_class's filter for a config already clipped to the class size."""
-    m = F_c.shape[-2]
     basis = None
     if (
         F_c.ndim == 2 and eff.graph_kind == "knn"

@@ -138,7 +138,8 @@ def paired_accuracies(
     chunk's rows are drawn as sample_episode draws them, every support class
     of the chunk is filtered in one denoise_class call, and both arms are
     classified in one predict call. Accuracies, and any error raised, are
-    those of evaluating the episodes one by one.
+    those of evaluating the episodes one by one: a chunk that fails is
+    drawn and filtered again one episode at a time.
 
     A filtering error is that of denoise_dataset on the first failing
     episode's support rows under their pool labels: it names the pool's
@@ -159,36 +160,27 @@ def paired_accuracies(
     acc_raw = np.empty(iterations)
     acc_filt = np.empty(iterations)
     for start in range(0, iterations, chunk):
-        # A draw that fails ends the chunk; the episodes drawn before it are
-        # still evaluated, so their errors come first as they would one by one.
-        drawn, failure = [], None
-        for child in master.spawn(min(chunk, iterations - start)):
-            try:
-                drawn.append(_draw_rows(np.random.default_rng(child), index, spec))
-            except InsufficientPool as exc:
-                failure = exc
-                break
-        if drawn:
-            rows = np.stack(drawn)
-            support = pool.features[rows[:, :, :m].reshape(len(drawn), -1)]
-            query = pool.features[rows[:, :, m:].reshape(len(drawn), -1)]
-            try:
-                filtered = denoise_or_pass(
-                    support.reshape(-1, m, d), denoise_cfg, "every support class"
-                ).reshape(support.shape)
-            except GfdError:
-                # Filter the chunk's episodes one at a time to locate the error.
-                for ep_rows in rows[:, :, :m].reshape(len(drawn), -1):
-                    denoise_dataset(
-                        LabeledFeatures(pool.features[ep_rows], pool.labels[ep_rows]),
-                        denoise_cfg, row_name=lambda i: f"pool row {ep_rows[i]}",
-                    )
-                raise
-            pred = predict(np.stack([support, filtered]), class_rows, query, classifier_cfg)
-            stop = start + len(drawn)
-            acc_raw[start:stop], acc_filt[start:stop] = np.mean(pred == truth, axis=-1)
-        if failure is not None:
-            raise failure
+        children = master.spawn(min(chunk, iterations - start))
+        try:
+            rows = np.stack([_draw_rows(np.random.default_rng(c), index, spec) for c in children])
+            support = pool.features[rows[:, :, :m].reshape(len(children), -1)]
+            query = pool.features[rows[:, :, m:].reshape(len(children), -1)]
+            filtered = denoise_or_pass(
+                support.reshape(-1, m, d), denoise_cfg, "every support class"
+            ).reshape(support.shape)
+        except GfdError:
+            # Draw and filter the chunk's episodes one at a time: a child
+            # draws the same rows again, so the first failing episode raises.
+            for child in children:
+                ep_rows = _draw_rows(np.random.default_rng(child), index, spec)[:, :m].ravel()
+                denoise_dataset(
+                    LabeledFeatures(pool.features[ep_rows], pool.labels[ep_rows]),
+                    denoise_cfg, row_name=lambda i: f"pool row {ep_rows[i]}",
+                )
+            raise
+        pred = predict(np.stack([support, filtered]), class_rows, query, classifier_cfg)
+        stop = start + len(children)
+        acc_raw[start:stop], acc_filt[start:stop] = np.mean(pred == truth, axis=-1)
     return acc_raw, acc_filt
 
 

@@ -96,18 +96,24 @@ def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | Non
         raise NonFiniteValue(first_row + row, None if linenos is None else linenos[row])
 
 
-def _open_text(path):
+def open_text(path):
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def escaped_byte(line: str) -> int | None:
+    """The first byte of a line read through open_text that is not valid
+    UTF-8, or None."""
+    escaped = None if line.isascii() else _ESCAPED_BYTE.search(line)
+    return None if escaped is None else ord(escaped.group()) - 0xDC00
 
 
 def _records(lines):
     """(line number, label, values) for each data line of a text file's
-    lines (read by _open_text): values is the text after the label's comma,
+    lines (read by open_text): values is the text after the label's comma,
     or None on a line without one. A line holding a byte that is not UTF-8
     raises ParseError when it is reached."""
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.isascii() and (escaped := _ESCAPED_BYTE.search(raw)):
-            byte = ord(escaped.group()) - 0xDC00
+        if (byte := escaped_byte(raw)) is not None:
             raise ParseError(lineno, f"line {lineno}: byte 0x{byte:02x} is not valid UTF-8")
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -185,7 +191,7 @@ def _read_text(records, d: int | None = None, first_row: int = 0, n_hint: int = 
 def load_features_text(path) -> LabeledFeatures:
     """Parse a comma-separated feature file as one batch; row order is
     preserved and labels stay opaque strings."""
-    with _open_text(path) as fh:
+    with open_text(path) as fh:
         return _read_text(_records(fh))[0]
 
 
@@ -263,7 +269,7 @@ class FeatureReader:
 
     def __init__(self, path, fmt: str):
         self._fmt = fmt
-        self._fh = open(path, "rb") if fmt == "bin" else _open_text(path)
+        self._fh = open(path, "rb") if fmt == "bin" else open_text(path)
         try:
             if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
                 raise NotRegularFile(f"{path} is read twice, so it must be a regular file")

@@ -5,9 +5,11 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -72,6 +74,17 @@ class TestConfigFile:
         path.write_text("seed 9\n")
         with pytest.raises(ConfigError):
             parse_config_file(path)
+
+    def test_byte_not_utf8_is_config_error(self, tmp_path, capsys):
+        path, out = tmp_path / "bad.cfg", tmp_path / "r.json"
+        path.write_bytes("# café\niterations = 5\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=r"bad.cfg:1: byte 0xe9 is not valid UTF-8$"):
+            parse_config_file(path)
+        assert run_cli(["eval-fewshot", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"gfdenoise: config error: {path}:1: byte 0xe9 is not valid UTF-8\n"
+        )
+        assert os.listdir(tmp_path) == ["bad.cfg"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -831,6 +844,121 @@ class TestReportSinks:
         assert list(gfdenoise.cli._COMMANDS) == list(choices) == list(MODES)
 
 
+def _mode_argv(mode, tmp_path):
+    """A small, quick run of each mode, reading pool.csv under tmp_path."""
+    src = tmp_path / "pool.csv"
+    if not src.exists():
+        save_features_text(src, small_pool())
+    return {
+        "denoise": ["denoise", "--in", str(src)],
+        "eval-fewshot": ["eval-fewshot", "--in", str(src), "--n-way", "3", "--m-shot", "2",
+                         "--q-query", "3", "--iterations", "5"],
+        "eval-standard": ["eval-standard", "--in", str(src), "--k1", "1", "--k2", "4"],
+        "verify-theory": ["verify-theory", "--iterations", "20"],
+    }[mode]
+
+
+class TestCliOut:
+    """Every mode takes --out alike: it is checked before any work, replaced
+    only when the run succeeds, and its errors name it. A symlink is written
+    through and kept; a FIFO or device is written in place."""
+
+    @pytest.fixture(autouse=True)
+    def record_work(self, monkeypatch):
+        """Record each mode's first step, so a test can tell work started."""
+        self.work = []
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                self.work.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for module, name in [(gfdenoise.cli, "_load_pool"), (gfdenoise.cli, "FeatureReader"),
+                             (gfdenoise.cli.centroids, "monte_carlo_centroid_stats")]:
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+
+    def expected(self, mode, tmp_path):
+        """The bytes a run writes to a new regular --out."""
+        out = tmp_path / f"expected-{mode}"
+        assert run_cli([*_mode_argv(mode, tmp_path), "--seed", "4", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        out.unlink()
+        self.work.clear()
+        return data, str(out)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_missing_directory_fails_before_work(self, tmp_path, capsys, mode):
+        argv = _mode_argv(mode, tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        dst = tmp_path / "missing" / "r.json"
+        assert run_cli([*argv, "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == (
+            f"gfdenoise: error: --out {dst}: No such file or directory\n"
+        )
+        assert self.work == []
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_directory_is_refused_before_work(self, tmp_path, capsys, mode):
+        argv = _mode_argv(mode, tmp_path)
+        dst = tmp_path / "outdir"
+        dst.mkdir()
+        assert run_cli([*argv, "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == f"gfdenoise: error: --out {dst}: Is a directory\n"
+        assert self.work == []
+        assert os.listdir(dst) == []
+
+    @pytest.mark.parametrize("mode", ["eval-fewshot", "verify-theory"])
+    def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, mode):
+        dst = tmp_path / "r.json"
+        dst.write_text("old")
+        argv = _mode_argv(mode, tmp_path)
+
+        def fail(*args, **kwargs):
+            raise InvalidSize("stop")
+
+        monkeypatch.setattr(gfdenoise.cli, "config_echo", fail)
+        assert run_cli([*argv, "--out", str(dst)]) == 1
+        assert capsys.readouterr().err == "gfdenoise: error: stop\n"
+        assert dst.read_text() == "old"
+        assert sorted(os.listdir(tmp_path)) == ["pool.csv", "r.json"]
+
+    @pytest.mark.parametrize("mode", ["denoise", "eval-standard", "verify-theory"])
+    def test_symlink_is_written_through(self, tmp_path, mode):
+        want, expected_out = self.expected(mode, tmp_path)
+        (tmp_path / "sub").mkdir()
+        target, link = tmp_path / "sub" / "target", tmp_path / "link"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert run_cli([*_mode_argv(mode, tmp_path), "--seed", "4", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want.replace(expected_out.encode(), str(link).encode())
+        assert os.listdir(tmp_path / "sub") == ["target"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("mode", ["denoise", "eval-fewshot", "verify-theory"])
+    def test_fifo_is_written_in_place(self, tmp_path, mode):
+        want, expected_out = self.expected(mode, tmp_path)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = run_cli([*_mode_argv(mode, tmp_path), "--seed", "4", "--out", str(fifo)])
+        finally:
+            # A run that never opened the FIFO leaves the reader waiting for
+            # a writer; with no reader left, this open fails at once.
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert code == 0 and not reader.is_alive()
+        assert got == [want.replace(expected_out.encode(), str(fifo).encode())]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["fifo", "pool.csv"]
+
+
 class TestCliMatchesLibrary:
     """A report's arms are the numbers the library returns for the same
     arguments."""
@@ -1059,6 +1187,34 @@ class TestCliWarnings:
             "gfdenoise: warning: every support class has fewer than 2 samples; "
             "passed through unfiltered\n",
         )
+
+    def test_one_shot_draw_failure_warns_per_class(self, tmp_path):
+        """A chunk whose draw fails is evaluated one episode at a time, so
+        each one-shot class drawn before the failing episode warns under its
+        pool label, as the per-episode oracle warns."""
+        pool = small_pool()
+        keep = np.flatnonzero(pool.labels != pool.labels[-1]).tolist() + [pool.n - 1]
+        small = LabeledFeatures(pool.features[keep], pool.labels[keep])
+        src = tmp_path / "pool.csv"
+        save_features_text(src, small)
+        argv = ["eval-fewshot", "--in", str(src), "--n-way", "3", "--m-shot", "1",
+                "--q-query", "3", "--iterations", "40", "--seed", "3"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error = outcome(lambda: per_episode_accuracies(
+                small, EpisodeSpec(n_way=3, m_shot=1, q_query=3), DenoiseConfig(),
+                ClassifierConfig(), 40, 3,
+            ))
+        oracle = "".join(dict.fromkeys(f"gfdenoise: warning: {w.message}\n" for w in caught))
+        code, err = _cli_stderr(argv)
+        assert (code, err) == (
+            1,
+            "gfdenoise: warning: class 'c0' has fewer than 2 samples; passed through unfiltered\n"
+            "gfdenoise: warning: class 'c1' has fewer than 2 samples; passed through unfiltered\n"
+            "gfdenoise: warning: class 'c2' has fewer than 2 samples; passed through unfiltered\n"
+            "gfdenoise: error: class 'c3' has 1 samples, episode needs 4\n",
+        )
+        assert err == oracle + f"gfdenoise: error: {error[1]}\n"
 
     def test_standard_with_one_row_classes(self, tmp_path):
         pool = small_pool()

@@ -20,7 +20,13 @@ from gfdenoise.episodes import (
     sample_episode,
     sweep_shots,
 )
-from gfdenoise.errors import InsufficientPool, InvalidSize, TooFewSamples, ZeroVector
+from gfdenoise.errors import (
+    InsufficientPool,
+    InvalidSize,
+    IsolatedVertex,
+    TooFewSamples,
+    ZeroVector,
+)
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +286,52 @@ class TestMatchesPerEpisodeReference:
             assert got == outcome(lambda: per_episode_accuracies(*args))
             seen.add(got[0])
         assert seen == {ZeroVector, InsufficientPool}
+
+    # Five classes of d = 8: o's rows are mutually orthogonal, so every
+    # support drawn from it raises IsolatedVertex; z's rows are zero
+    # (ZeroVector); s has 4 rows, too few for an episode (InsufficientPool).
+    ERROR_SPEC = EpisodeSpec(n_way=2, m_shot=3, q_query=2)
+
+    @staticmethod
+    def faulty_pool(heal=""):
+        """The pool above, with the classes named in `heal` made valid:
+        o and z get rows like the others, s two more rows. Only the episodes
+        that draw a healed class change."""
+        labels = np.repeat(["h0", "h1", "o", "s", "z"], [6, 6, 6, 4, 6])
+        features = np.abs(np.random.default_rng(0).standard_normal((labels.size, 8))) + 0.5
+        if "o" not in heal:
+            features[labels == "o"] = np.eye(8)[:6]
+        if "z" not in heal:
+            features[labels == "z"] = 0.0
+        if "s" in heal:
+            features, labels = np.vstack([features, np.ones((2, 8))]), np.append(labels, ["s"] * 2)
+        return LabeledFeatures(features, labels)
+
+    @pytest.mark.parametrize("seed, first, heal, second", [
+        (3, IsolatedVertex, "o", ZeroVector),  # the stack fails first on the zero rows
+        (2, ZeroVector, "z", InsufficientPool),
+        (0, InsufficientPool, "s", ZeroVector),
+    ])
+    def test_first_failing_episode_of_one_chunk_wins(self, monkeypatch, seed, first, heal,
+                                                     second):
+        # One chunk of 8 episodes. Its first failing episode raises `first`;
+        # with that fault healed, a later episode of the chunk raises
+        # `second`. paired_accuracies must raise the first, as the episodes
+        # do one at a time.
+        spec, iterations = self.ERROR_SPEC, 8
+        self.chunk_of(iterations, spec, self.faulty_pool(), monkeypatch)
+
+        def oracle(pool):
+            return outcome(lambda: per_episode_accuracies(
+                pool, spec, DenoiseConfig(), ClassifierConfig(), iterations, seed
+            ))
+
+        want = oracle(self.faulty_pool())
+        assert want[0] is first
+        assert oracle(self.faulty_pool(heal))[0] is second
+        assert outcome(lambda: paired_accuracies(
+            self.faulty_pool(), spec, DenoiseConfig(), ClassifierConfig(), iterations, seed
+        )) == want
 
     def test_one_shot_warns_once_per_call(self, pool):
         spec = EpisodeSpec(n_way=3, m_shot=1, q_query=2)
