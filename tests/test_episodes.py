@@ -287,16 +287,16 @@ class TestMatchesPerEpisodeReference:
             seen.add(got[0])
         assert seen == {ZeroVector, InsufficientPool}
 
-    # Five classes of d = 8: o's rows are mutually orthogonal, so every
-    # support drawn from it raises IsolatedVertex; z's rows are zero
-    # (ZeroVector); s has 4 rows, too few for an episode (InsufficientPool).
     ERROR_SPEC = EpisodeSpec(n_way=2, m_shot=3, q_query=2)
 
     @staticmethod
     def faulty_pool(heal=""):
-        """The pool above, with the classes named in `heal` made valid:
-        o and z get rows like the others, s two more rows. Only the episodes
-        that draw a healed class change."""
+        """Five classes of d = 8. Every support drawn from o raises
+        IsolatedVertex (its rows are mutually orthogonal) and from z
+        ZeroVector (zero rows); s has 4 rows, too few for an episode
+        (InsufficientPool). The classes named in `heal` are made valid: o
+        and z get rows like the others, s two more rows, so only the
+        episodes that draw them change."""
         labels = np.repeat(["h0", "h1", "o", "s", "z"], [6, 6, 6, 4, 6])
         features = np.abs(np.random.default_rng(0).standard_normal((labels.size, 8))) + 0.5
         if "o" not in heal:
