@@ -4,10 +4,10 @@ For i.i.d. isotropic Gaussian class features, the ideal rank-k low-pass
 filter has closed-form effects on the class centroid that can be checked
 against Monte Carlo simulation. `analytic_centroid_factors` returns the
 closed-form scaling factors derived with the complete graph's constant
-eigenvector taken as 1/sqrt(m-1) per entry; the simulation uses the
-unit-norm eigenvector (entries 1/sqrt(m)), under which the k=1 filter
-preserves the centroid exactly, so the two are reported side by side
-rather than asserted equal.
+eigenvector taken as 1/sqrt(m-1) per entry; the simulation filters through
+denoise_class, whose complete-graph filter keeps the centroid exactly (its
+constant eigenvector is unit-norm, entries 1/sqrt(m)), so the two are
+reported side by side rather than asserted equal.
 
 A simulation of one class size draws every trial from one random stream
 seeded by its seed: trial t is the stream's t-th m x d block, whatever
@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .denoise import DenoiseConfig, denoise_class
 from .episodes import EPISODE_CHUNK_BYTES
 from .errors import InvalidRange, InvalidSize
-from .graphs import class_graph
-from .spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
+# Unused here, but perfbench/layertrace.py traces these names in this module.
+from .graphs import class_graph  # noqa: F401
+from .spectral import apply_filter, eigendecompose, normalized_laplacian  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ def monte_carlo_centroid_stats(
 ) -> tuple[CentroidStats, CentroidStats]:
     """Simulate the class many times and aggregate raw vs filtered moments.
 
-    Per trial: draw the features, build the class graph, apply the ideal
-    rank-k low-pass, and accumulate both the raw and the filtered rows.
+    Per trial: draw the features, apply the ideal rank-k low-pass by
+    denoise_class, and accumulate both the raw and the filtered rows.
     All trials draw from one stream, np.random.default_rng(seed): trial t
     is its t-th consecutive m x d block, so trial 0 is
     sample_gaussian_class(spec, seed). Returns (raw, filtered) stats;
@@ -117,7 +119,7 @@ def monte_carlo_centroid_stats(
     Trials are simulated a chunk at a time (see EPISODE_CHUNK_BYTES, which
     counts a chunk's feature rows and, for a kNN graph, its m x m graphs;
     a chunk holds at least one trial): the chunk's blocks are drawn into
-    one stack, which is filtered by one apply_filter call and reduced to
+    one stack, which is filtered by one denoise_class call and reduced to
     per-trial sums. A chunk's blocks are the stream's next blocks, and the
     sums are added to the totals one trial after another, so the stats do
     not depend on the chunk size and are bit-identical to a loop over
@@ -130,14 +132,8 @@ def monte_carlo_centroid_stats(
     if knn_k is None:
         knn_k = spec.m - 1
     m, d = spec.m, spec.d
-    gains = step_response(k, k, 0.0, m)  # the ideal rank-k low-pass
-    fixed_basis = None
-    if graph_kind == "complete":
-        # The complete graph does not depend on the sampled features, so
-        # its eigenbasis can be reused across trials.
-        fixed_basis = eigendecompose(normalized_laplacian(class_graph(
-            np.zeros((m, 1)), "complete", knn_k)))
-    trial_bytes = 8 * m * (d if fixed_basis is not None else d + m)
+    cfg = DenoiseConfig(knn_k, k, k, 0.0, graph_kind)
+    trial_bytes = 8 * m * (d + m if graph_kind == "knn" else d)
     chunk = max(1, EPISODE_CHUNK_BYTES // trial_bytes)
 
     rng = np.random.default_rng(seed)
@@ -146,10 +142,7 @@ def monte_carlo_centroid_stats(
     totals = np.zeros((2, 2, 1, d))
     for start in range(0, trials, chunk):
         F = _draw_trials(spec, rng, min(chunk, trials - start))
-        basis = fixed_basis
-        if basis is None:
-            basis = eigendecompose(normalized_laplacian(class_graph(F, graph_kind, knn_k)))
-        arms = np.stack([F, apply_filter(basis, gains, F)])
+        arms = np.stack([F, denoise_class(F, cfg)])
         parts = np.stack([arms.sum(axis=2), (arms**2).sum(axis=2)])
         # A reduction over the trial axis may sum pairwise; cumsum adds the
         # trials to the totals one after another, as a per-trial loop does.

@@ -8,6 +8,7 @@ config echo added, to the --out path (or stdout when omitted).
 import argparse
 import contextlib
 import os
+import re
 import stat
 import sys
 import warnings
@@ -88,11 +89,13 @@ def _load_pool(cfg: RunConfig) -> LabeledFeatures:
 
 @contextlib.contextmanager
 def _out_path(out: str | None):
-    """The path a mode writes --out through, or None for stdout. An
-    existing --out that is not a regular file (a FIFO, or /dev/stdout on a
-    pipe) is written in place. Otherwise a temporary file is created beside
-    --out, symlinks followed, before any work; it replaces that path only
-    when the mode succeeds and is removed when it fails. Errors name --out."""
+    """The path a mode appends --out's bytes to, or None for stdout. An --out
+    that is not a regular file (a FIFO, a device), names an open file
+    (/dev/std*, /dev/fd/*) or lies under /proc is written in place, so `--out
+    /dev/stdout >> log` adds to log. Otherwise a temporary file is created
+    beside --out, symlinks followed, before any work; it replaces that path
+    only when the mode succeeds and is removed when it fails. Errors name
+    --out."""
     if out is None:
         yield None
         return
@@ -102,7 +105,7 @@ def _out_path(out: str | None):
         mode = stat.S_IFREG
     if stat.S_ISDIR(mode):
         raise IsADirectoryError(f"--out {out}: Is a directory")
-    if not stat.S_ISREG(mode):
+    if not stat.S_ISREG(mode) or re.match("/dev/std|/dev/fd/|/proc/", os.path.abspath(out)):
         yield out
         return
     target = os.path.realpath(out)
@@ -120,7 +123,7 @@ def _out_path(out: str | None):
 
 
 def _cmd_denoise(cfg: RunConfig, out: str) -> None:
-    with open(out, "wb") as fh, FeatureReader(cfg.input_path, cfg.fmt) as reader:
+    with open(out, "ab") as fh, FeatureReader(cfg.input_path, cfg.fmt) as reader:
         header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
         fh.write(header)
         # Each batch of whole classes is filtered in place and written, then
@@ -263,7 +266,7 @@ def run_cli(argv) -> int:
             if body is not None:
                 report = {"mode": cfg.mode, "config": config_echo(cfg), **body}
                 if out is not None:
-                    emit_report(report, out)
+                    emit_report(report, out, append=True)
                 else:
                     print(report_text(report))
     except (GfdError, OSError, ValueError) as exc:

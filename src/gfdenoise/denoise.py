@@ -1,14 +1,14 @@
 """Per-class low-pass filtering of labeled feature vectors.
 
-For each class, a similarity graph is built over that class's samples
-only, the step low-pass filter is applied in the graph's eigenbasis, and
-the filtered rows replace the originals. Classes never share a graph.
+Each class is filtered through a similarity graph over its own samples only:
+the step low-pass filter is applied in the graph's eigenbasis (in closed
+form on the complete graph), and the filtered rows replace the originals.
 
 A class that takes the Lanczos path (see LANCZOS_MIN_ROWS) gets its kNN
 graph from graphs.knn_graph_csr, built a block of rows at a time into a
 sparse array, so no m x m array is held. If Lanczos declines that graph,
-the class is filtered as every other class is: through the dense graph of
-graphs.class_graph and a full eigendecomposition.
+the class is filtered as every other kNN class is: through the dense
+graph of graphs.class_graph and a full eigendecomposition.
 
 Since a class never needs another class's rows, a file can be filtered a
 batch of whole classes at a time; batch_ends plans those batches.
@@ -40,8 +40,6 @@ GRAPH_KINDS = ("knn", "complete")
 # Gaussian classes (d = 128, knn_k = 10) on a 2-vCPU VM with 2 BLAS
 # threads, Lanczos was 1.5-2.5x faster than dense eigh at k2 = m/16 for
 # m = 384..2400, about even at k2 = m/10, and 3-6x slower at k2 = m/4.
-# The complete graph repeats one eigenvalue m - 1 times, which
-# single-vector Lanczos cannot resolve, so it always takes the dense path.
 LANCZOS_MIN_ROWS = 512
 LANCZOS_ROWS_PER_PAIR = 16
 
@@ -99,14 +97,17 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     """Filter one class's m x d feature block through its own graph, or
     each block of a (B, m, d) stack through its own graph.
 
-    Row order is preserved. When the effective filter passes every
-    frequency (k1 clipped to m), the input is returned unchanged without
-    building a graph. Large connected kNN graphs with few passed frequencies
-    (see LANCZOS_MIN_ROWS) are built sparse and solved for only the
-    eigenpairs the filter passes; every other graph, and every stack, is
-    built dense and gets a full eigendecomposition. A stack gives what its
-    blocks give one at a time and raises exactly when some block would; the
-    caller that knows the blocks locates the error.
+    Row order is preserved. When the effective filter passes every frequency
+    (k1 clipped to m), the input is returned unchanged without building a
+    graph. Nor is one built for the complete graph: K_m's normalized Laplacian
+    is 0 on the constant vector and m/(m-1) on the rest (Chung 1997), so with g
+    the mean of the step gains 2..m, a row becomes the class mean plus g times
+    its deviation from it. Large connected kNN graphs with few passed
+    frequencies (see LANCZOS_MIN_ROWS) are built sparse and solved for only the
+    eigenpairs the filter passes; every other kNN graph is built dense and gets
+    a full eigendecomposition. A stack gives what its blocks give one at a time
+    and raises exactly when some block would; the caller that knows the blocks
+    locates the error.
     """
     F_c = np.asarray(F_c, dtype=np.float64)
     m = F_c.shape[-2]
@@ -115,11 +116,12 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     eff = cfg.for_class_size(m)
     if eff.k1 == m:
         return F_c.copy()
+    if eff.graph_kind == "complete":
+        mean = F_c.mean(axis=-2, keepdims=True)
+        gain = ((eff.k1 - 1) + (eff.k2 - eff.k1) * eff.mid_gain) / (m - 1)
+        return mean + gain * (F_c - mean)
     basis = None
-    if (
-        F_c.ndim == 2 and eff.graph_kind == "knn"
-        and m >= LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR * eff.k2 <= m
-    ):
+    if F_c.ndim == 2 and m >= LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR * eff.k2 <= m:
         basis = lowest_eigenpairs(knn_graph_csr(F_c, eff.knn_k), eff.k2)
     if basis is None:
         basis = eigendecompose(normalized_laplacian(class_graph(F_c, eff.graph_kind, eff.knn_k)))

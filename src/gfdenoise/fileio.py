@@ -383,9 +383,9 @@ def save_features(path, data: LabeledFeatures, fmt: str) -> None:
         write_rows(fh, data)
 
 
-def emit_report(report: dict, path) -> None:
-    """Write a report document as JSON (numpy scalars/arrays converted)."""
-    with open(path, "w", encoding="utf-8") as fh:
+def emit_report(report: dict, path, append: bool = False) -> None:
+    """Write, or append, a report document as JSON (numpy scalars/arrays converted)."""
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
         fh.write(report_text(report) + "\n")
 
 

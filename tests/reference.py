@@ -8,11 +8,9 @@ import numpy as np
 from gfdenoise.centroids import CentroidStats
 from gfdenoise.classify import ncm_fit, ncm_predict, nn1_predict
 from gfdenoise.data import LabeledFeatures, class_index_map
-from gfdenoise.denoise import denoise_dataset
+from gfdenoise.denoise import DenoiseConfig, denoise_class, denoise_dataset
 from gfdenoise.episodes import _draw_rows, sample_episode
 from gfdenoise.errors import GfdError
-from gfdenoise.graphs import class_graph, complete_graph
-from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
 def classify_labels(support, query, cfg):
@@ -58,24 +56,18 @@ def draw_gaussian_class(spec, rng):
 
 def per_trial_centroid_stats(spec, graph_kind, k, trials, seed, knn_k=None):
     """monte_carlo_centroid_stats one trial at a time: the trial's m x d
-    block drawn as the next block of the seed's one stream, its own graph
-    (or the complete graph's shared basis), apply_filter, and its sums
-    added to the totals."""
+    block drawn as the next block of the seed's one stream, filtered alone
+    by denoise_class with the ideal rank-k low-pass, and its sums added to
+    the totals."""
     if knn_k is None:
         knn_k = spec.m - 1
-    gains = step_response(k, k, 0.0, spec.m)
-    fixed_basis = None
-    if graph_kind == "complete":
-        fixed_basis = eigendecompose(normalized_laplacian(complete_graph(spec.m)))
+    cfg = DenoiseConfig(knn_k, k, k, 0.0, graph_kind)
     sums = np.zeros((2, spec.d))
     sumsq = np.zeros((2, spec.d))
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         F = draw_gaussian_class(spec, rng)
-        basis = fixed_basis
-        if basis is None:
-            basis = eigendecompose(normalized_laplacian(class_graph(F, graph_kind, knn_k)))
-        F_f = apply_filter(basis, gains, F)
+        F_f = denoise_class(F, cfg)
         sums[0] += F.sum(axis=0)
         sumsq[0] += (F**2).sum(axis=0)
         sums[1] += F_f.sum(axis=0)

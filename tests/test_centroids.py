@@ -12,6 +12,7 @@ from gfdenoise.centroids import (
     monte_carlo_centroid_stats,
     sample_gaussian_class,
 )
+from gfdenoise.denoise import denoise_class
 from gfdenoise.episodes import EPISODE_CHUNK_BYTES
 from gfdenoise.errors import InvalidRange, InvalidSize
 from gfdenoise.graphs import clamp_negative_edges, complete_graph, cosine_similarity, knn_sparsify
@@ -282,15 +283,15 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("graph,m,d", [("complete", 5, 8), ("knn", 100, 8), ("knn", 200, 1)])
     def test_chunks_fit_the_budget(self, monkeypatch, graph, m, d):
-        """Each apply_filter call gets as many trials as fit in the budget
+        """Each denoise_class call gets as many trials as fit in the budget
         (rows, and m x m graphs for kNN), and at least one."""
         stacks = []
 
-        def recording_filter(basis, gains, F):
+        def recording_filter(F, cfg):
             stacks.append(F.shape[0])
-            return apply_filter(basis, gains, F)
+            return denoise_class(F, cfg)
 
-        monkeypatch.setattr(centroids, "apply_filter", recording_filter)
+        monkeypatch.setattr(centroids, "denoise_class", recording_filter)
         chunk = default_chunk(graph, m, d)
         monte_carlo_centroid_stats(spec_of(m, d), graph, 1, 2 * chunk + 1, seed=0)
         assert stacks == [chunk, chunk, 1]

@@ -958,6 +958,26 @@ class TestCliOut:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["fifo", "pool.csv"]
 
+    @pytest.mark.parametrize("mode", ["denoise", "verify-theory"])
+    @pytest.mark.parametrize("redirect", [">>", ">"])
+    @pytest.mark.parametrize("link", ["/dev/stdout", "/dev/fd/1"])
+    def test_stdout_link_keeps_the_redirect(self, tmp_path, mode, redirect, link):
+        """`--out /dev/stdout >> log` adds the run's bytes after log's
+        earlier lines; `> log` holds only them."""
+        want, expected_out = self.expected(mode, tmp_path)
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"earlier line\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        argv = [*_mode_argv(mode, tmp_path), "--seed", "4", "--out", link]
+        # Opened as the shell opens a redirect: ">>" appends, ">" truncates.
+        with open(log, "ab" if redirect == ">>" else "wb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "gfdenoise.cli", *argv], env=env,
+                                  stdout=fh, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        kept = b"earlier line\n" if redirect == ">>" else b""
+        assert log.read_bytes() == kept + want.replace(expected_out.encode(), link.encode())
+        assert sorted(os.listdir(tmp_path)) == ["log.txt", "pool.csv"]
+
 
 class TestCliMatchesLibrary:
     """A report's arms are the numbers the library returns for the same

@@ -22,7 +22,7 @@ from gfdenoise.denoise import (
     denoise_dataset,
 )
 from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange, IsolatedVertex, ZeroVector
-from gfdenoise.graphs import class_graph
+from gfdenoise.graphs import class_graph, complete_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
 
@@ -107,10 +107,23 @@ class TestDenoiseClass:
 
 
 def dense_reference(F, cfg):
-    """denoise_class through a full dense eigendecomposition."""
-    eff = cfg.for_class_size(F.shape[0])
+    """denoise_class through a full dense eigendecomposition, with the step
+    gains assigned by eigenvalue index."""
+    m = F.shape[-2]
+    eff = cfg.for_class_size(m)
     basis = eigendecompose(normalized_laplacian(class_graph(F, eff.graph_kind, eff.knn_k)))
-    return apply_filter(basis, step_response(eff.k1, eff.k2, eff.mid_gain, F.shape[0]), F), basis
+    return apply_filter(basis, step_response(eff.k1, eff.k2, eff.mid_gain, m), F), basis
+
+
+def grouped_complete_reference(F, cfg):
+    """The complete graph's filter through a full dense eigendecomposition,
+    with gain 1 on the constant vector (index 1) and, on the (m - 1)-fold
+    eigenvalue m / (m - 1), the mean of the step gains 2..m."""
+    m = F.shape[-2]
+    eff = cfg.for_class_size(m)
+    gains = step_response(eff.k1, eff.k2, eff.mid_gain, m)
+    gains[1:] = gains[1:].mean()
+    return apply_filter(eigendecompose(normalized_laplacian(complete_graph(m))), gains, F)
 
 
 @pytest.fixture()
@@ -178,10 +191,16 @@ class TestSolverPaths:
         ],
     )
     def test_other_classes_take_dense_path(self, solver_calls, m, cfg):
+        """Every other kNN class is solved dense; the complete graph is
+        filtered in closed form and calls no solver."""
         F = gaussian_class(np.random.default_rng(32), m, 8, mu=0.3)
         out = denoise_class(F, cfg)
-        assert solver_calls == [("eigendecompose", True)]
-        assert np.array_equal(out, dense_reference(F, cfg)[0])
+        if cfg.graph_kind == "complete":
+            assert solver_calls == []
+            assert np.max(np.abs(out - grouped_complete_reference(F, cfg))) <= 1e-12
+        else:
+            assert solver_calls == [("eigendecompose", True)]
+            assert np.array_equal(out, dense_reference(F, cfg)[0])
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(LANCZOS_MIN_ROWS, 1200), st.integers(0, 2**32 - 1), st.data())
@@ -218,6 +237,65 @@ class TestSolverPaths:
             tracemalloc.stop()
         assert solver_calls == [("lowest_eigenpairs", True)]
         assert peak < m * m * 8
+
+
+def forbid_graphs_and_solvers(mp):
+    """Make every graph builder and solver denoise_class reaches fail."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form builds no graph and calls no solver")
+
+    for name in ("class_graph", "knn_graph_csr", "eigendecompose", "lowest_eigenpairs",
+                 "normalized_laplacian", "apply_filter"):
+        mp.setattr(gfdenoise.denoise, name, forbidden)
+
+
+@st.composite
+def complete_graph_cases(draw, cuts=None):
+    """A class (m x d) or a stack of classes (B x m x d) with m from 2 to
+    200, and a complete-graph config. cuts(m) gives the (k1, k2) pairs to
+    draw from; by default any k1 <= k2, up to past m."""
+    m = draw(st.integers(2, 200), label="m")
+    d = draw(st.integers(1, 16), label="d")
+    blocks = draw(st.sampled_from([(), (1,), (3,)]), label="stack")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = draw(st.floats(-3.0, 3.0), label="mu") + rng.standard_normal(blocks + (m, d))
+    if cuts is None:
+        k2 = draw(st.integers(1, m + 2), label="k2")
+        k1 = draw(st.integers(1, k2), label="k1")
+    else:
+        k1, k2 = draw(st.sampled_from(cuts(m)), label="k1, k2")
+    mid_gain = draw(st.floats(0.0, 1.0), label="mid_gain")
+    return F, DenoiseConfig(k1=k1, k2=k2, mid_gain=mid_gain, graph_kind="complete"), rng
+
+
+class TestCompleteGraphClosedForm:
+    """The complete graph's closed form, mean + g (F - mean), against the
+    dense filter through complete_graph and eigendecompose."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(complete_graph_cases())
+    def test_equals_grouped_dense_filter(self, case):
+        F, cfg, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            forbid_graphs_and_solvers(mp)
+            out = denoise_class(F, cfg)
+        assert np.max(np.abs(out - grouped_complete_reference(F, cfg))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(complete_graph_cases(cuts=lambda m: [(1, 1), (1, m)]))
+    def test_equals_index_gains_without_a_cut_inside_the_eigenspace(self, case):
+        """With k1 = k2 = 1 or k1 = 1, k2 = m, every step gain 2..m is
+        equal, so assigning them by index is basis-invariant too."""
+        F, cfg, _ = case
+        assert np.max(np.abs(denoise_class(F, cfg) - dense_reference(F, cfg)[0])) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(complete_graph_cases())
+    def test_row_permutation_equivariant(self, case):
+        F, cfg, rng = case
+        perm = rng.permutation(F.shape[-2])
+        out = denoise_class(F, cfg)
+        assert np.max(np.abs(denoise_class(F[..., perm, :], cfg) - out[..., perm, :])) <= 1e-12
 
 
 class TestDenoiseDataset:
