@@ -6,7 +6,7 @@ form on the complete graph), and the filtered rows replace the originals.
 
 A class that takes the Lanczos path (see LANCZOS_MIN_ROWS) gets its kNN
 graph from graphs.knn_graph_csr, built a block of rows at a time into a
-sparse array, so no m x m array is held. If Lanczos declines that graph,
+sparse CsrGraph, so no m x m array is held. If Lanczos declines that graph,
 the class is filtered as every other kNN class is: through the dense
 graph of graphs.class_graph and a full eigendecomposition.
 
@@ -38,8 +38,12 @@ GRAPH_KINDS = ("knn", "complete")
 # k2 <= m / LANCZOS_ROWS_PER_PAIR frequencies is solved for only its k2
 # lowest eigenpairs by sparse Lanczos instead of a dense eigh. Measured on
 # Gaussian classes (d = 128, knn_k = 10) on a 2-vCPU VM with 2 BLAS
-# threads, Lanczos was 1.5-2.5x faster than dense eigh at k2 = m/16 for
-# m = 384..2400, about even at k2 = m/10, and 3-6x slower at k2 = m/4.
+# threads, spectral.lowest_eigenpairs at k2 = m/16 was 0.7x as fast as
+# dense eigh at m = 384, even at m = 800 and 1.5-1.8x faster at
+# m = 1,600..2,400; at k2 = m/10 it was 0.6-1.1x as fast, and at k2 = m/4
+# 2-3.5x slower. The bounds were chosen when the solver was ARPACK, which
+# was 1.5-2.5x faster than eigh at k2 = m/16 from m = 384. Either way, the
+# Lanczos path holds no m x m array.
 LANCZOS_MIN_ROWS = 512
 LANCZOS_ROWS_PER_PAIR = 16
 

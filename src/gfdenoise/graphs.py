@@ -5,8 +5,8 @@ stack of class blocks gives a (B, m, m) stack of graphs, each equal to
 what its block gives alone.
 
 knn_graph_csr builds the same kNN graph as class_graph for one large
-class, a block of rows at a time and straight into a scipy CSR array, so
-no m x m array is held. Each block's similarities are the row-block
+class, a block of rows at a time and straight into a CsrGraph, so no
+m x m array is held. Each block's similarities are the row-block
 product unit[I] @ unit.T, while cosine_similarity's unit @ unit.T is one
 product that numpy serves with a symmetric rank-k update (SYRK). The two
 can differ in the last bits. With numpy's OpenBLAS on a 2-vCPU x86-64 VM,
@@ -15,6 +15,8 @@ by up to 5.6e-16 for blocks of 3 to 327 rows and by up to 1.6e-15 for
 blocks of 1 or 2 rows. Only a similarity within a few ulp of its row's
 k-th largest can therefore be kept by one path and not the other.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,21 +140,45 @@ def clamp_negative_edges(W: np.ndarray) -> np.ndarray:
     return clamped
 
 
-def knn_graph_csr(F: np.ndarray, k: int):
+@dataclass(frozen=True)
+class CsrGraph:
+    """A sparse adjacency in compressed sparse row form: row i's neighbors
+    are indices[indptr[i]:indptr[i + 1]], ascending, and their weights the
+    same slice of data."""
+
+    indptr: np.ndarray   # (rows + 1,)
+    indices: np.ndarray  # (nnz,)
+    data: np.ndarray     # (nnz,) float64
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> "CsrGraph":
+        """The nonzero entries of the 2-D array A."""
+        A = np.asarray(A, dtype=np.float64)
+        rows, cols = np.nonzero(A)
+        indptr = np.searchsorted(rows, np.arange(A.shape[0] + 1))
+        return cls(indptr=indptr, indices=cols, data=A[rows, cols], shape=A.shape)
+
+    def toarray(self) -> np.ndarray:
+        """The dense adjacency."""
+        A = np.zeros(self.shape)
+        A[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices] = self.data
+        return A
+
+
+def knn_graph_csr(F: np.ndarray, k: int) -> CsrGraph:
     """clamp_negative_edges(knn_sparsify(cosine_similarity(F), k)) for one
-    m x d class, as an exactly symmetric scipy CSR array with sorted
-    indices and no explicit zeros, built without any m x m array.
+    m x d class, as an exactly symmetric CsrGraph with no explicit zeros,
+    built without any m x m array.
 
     Rows are taken GRAPH_BLOCK_BYTES at a time: each block's similarities
     are clipped to [-1, 1] and each row keeps its k largest by knn_sparsify's
     rule. A pair kept by either of its rows is an edge (union rule), weighted
     by the similarity its lower-indexed vertex's row computed when that row
     kept it, else by the other row's (see the module docstring). Negative
-    weights are then clamped and edges restored on the CSR array as
+    weights are then clamped and edges restored on the sparse graph as
     clamp_negative_edges does on a dense one.
     """
-    from scipy import sparse
-
     unit = _unit_rows(F)
     m = unit.shape[0]
     _check_k(k, m)
@@ -170,25 +196,23 @@ def knn_graph_csr(F: np.ndarray, k: int):
     # lower-indexed row's when that row kept it.
     lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
     first = np.unique(lo * m + hi, return_index=True)[1]
+    first = first[vals[first] != 0.0]  # a zero similarity is no edge
     lo, hi, vals = lo[first], hi[first], vals[first]
-    W = sparse.csr_array(
-        (np.concatenate([vals, vals]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(m, m),
-    )
-    W.sum_duplicates()  # sorts each row's indices; every pair is already unique
-    W.eliminate_zeros()
-    clamped = W.copy()
-    np.clip(clamped.data, 0.0, None, out=clamped.data)
-    ptr, idx = W.indptr, W.indices
-    for i in np.flatnonzero(clamped.sum(axis=1) == 0.0):
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.argsort(rows * m + cols)
+    rows, cols, vals = rows[order], cols[order], np.concatenate([vals, vals])[order]
+    ptr = np.searchsorted(rows, np.arange(m + 1))
+    clamped = np.clip(vals, 0.0, None)
+    for i in np.flatnonzero(np.bincount(rows, weights=clamped, minlength=m) == 0.0):
         if ptr[i] == ptr[i + 1]:
             continue  # no edge at all in the pattern; Laplacian will reject
-        at = ptr[i] + np.argmax(W.data[ptr[i]:ptr[i + 1]])
-        j = idx[at]
-        back = ptr[j] + np.searchsorted(idx[ptr[j]:ptr[j + 1]], i)
-        clamped.data[[at, back]] = RESTORED_EDGE_WEIGHT
-    clamped.eliminate_zeros()
-    return clamped
+        at = ptr[i] + np.argmax(vals[ptr[i]:ptr[i + 1]])
+        j = cols[at]
+        back = ptr[j] + np.searchsorted(cols[ptr[j]:ptr[j + 1]], i)
+        clamped[[at, back]] = RESTORED_EDGE_WEIGHT
+    edge = clamped != 0.0
+    ptr = np.searchsorted(rows[edge], np.arange(m + 1))
+    return CsrGraph(indptr=ptr, indices=cols[edge], data=clamped[edge], shape=(m, m))
 
 
 def class_graph(F: np.ndarray, kind: str, knn_k: int) -> np.ndarray:

@@ -7,16 +7,22 @@ dense eigendecomposition and the filter act on the last two axes, so a
 stack of graphs is handled in one call, each as it would be alone.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, InvalidRange, IsolatedVertex
-from .graphs import set_diagonal
+from .graphs import CsrGraph, set_diagonal
 
 # Eigenvalues of a normalized Laplacian are >= 0 up to round-off from the
 # D^{-1/2} scaling; anything above this floor is clamped to 0.
 PSD_FLOOR = -1e-9
+# lowest_eigenpairs gives up, returning None, after this many Lanczos restarts.
+LANCZOS_MAX_RESTARTS = 300
+# Start vectors of lowest_eigenpairs' Lanczos basis: the largest multiplicity
+# of a wanted eigenvalue that it is sure to find.
+LANCZOS_BLOCK = 2
 
 
 @dataclass(frozen=True)
@@ -92,56 +98,204 @@ def _conventional_basis(lam: np.ndarray, U: np.ndarray) -> SpectralBasis:
     return SpectralBasis(eigenvectors=U, eigenvalues=lam)
 
 
-def lowest_eigenpairs(W: np.ndarray, k: int) -> SpectralBasis | None:
+def lowest_eigenpairs(W: np.ndarray | CsrGraph, k: int) -> SpectralBasis | None:
     """The k lowest eigenpairs of W's normalized Laplacian, or None when
-    W's graph has more than one connected component or Lanczos fails.
-    W is a dense array or a scipy sparse array or matrix.
+    W's graph has more than one connected component or Lanczos does not
+    converge. W is a dense array or a CsrGraph; a stored 0.0 is no edge.
 
-    Implicitly restarted Lanczos (ARPACK) finds the k largest eigenvalues
-    mu of the sparse normalized adjacency D^{-1/2} W D^{-1/2}; the
-    Laplacian's are lambda = 1 - mu. W is checked like normalized_laplacian
-    checks it, with the same errors, and the basis follows eigendecompose's
-    conventions. A disconnected graph repeats eigenvalue 0, and
-    single-vector Lanczos cannot return every vector of a repeated
-    eigenvalue, so such a graph is left to eigendecompose, as is a graph
-    on which ARPACK does not converge.
+    Thick-restart block Lanczos from two start vectors (see
+    _thick_restart_lanczos) finds the k largest eigenvalues mu of the
+    sparse normalized adjacency D^{-1/2} W D^{-1/2}; the Laplacian's are
+    lambda = 1 - mu. W is checked like normalized_laplacian checks it,
+    with the same errors, and the basis follows eigendecompose's
+    conventions. A disconnected graph repeats eigenvalue 0 as often as it
+    has components, more often than Lanczos can be sure to find it, so
+    such a graph is left to eigendecompose, as is a graph on which Lanczos
+    does not converge.
     """
-    # Imported here: scipy.sparse.linalg costs a quarter second at start-up.
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import ArpackError, eigsh
-
-    if not sparse.issparse(W):
-        W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise DimensionMismatch(f"adjacency must be square, got shape {W.shape}")
-    n = W.shape[0]
+    shape = W.shape if isinstance(W, CsrGraph) else np.shape(W)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"adjacency must be square, got shape {shape}")
+    n = shape[0]
     if not 1 <= k < n:
         raise InvalidRange(f"need 1 <= k < n, got k={k} n={n}")
-    A = sparse.csr_array(W, dtype=np.float64, copy=True)
-    # connected_components counts an explicit 0.0 as an edge.
-    A.eliminate_zeros()
-    if not abs(A - A.T).max() <= 1e-12:  # written so that NaN fails too
+    if not isinstance(W, CsrGraph):
+        W = CsrGraph.from_dense(W)
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    cols, vals = W.indices, np.asarray(W.data, dtype=np.float64)
+    edge = vals != 0.0
+    rows, cols, vals = rows[edge], cols[edge], vals[edge]
+    key = rows * n + cols
+    if np.any(np.diff(key) <= 0):
+        raise ValueError("adjacency column indices must ascend within each row")
+    at = np.minimum(np.searchsorted(key, cols * n + rows), key.size - 1)
+    mirror = np.where(key[at] == cols * n + rows, vals[at], 0.0)
+    if not np.max(np.abs(vals - mirror), initial=0.0) <= 1e-12:  # so that NaN fails too
         raise ValueError("adjacency must be symmetric")
-    if np.any(A.diagonal() != 0.0):
+    if np.any(rows == cols):
         raise ValueError("adjacency must have a zero diagonal")
-    if A.nnz and A.data.min() < 0.0:
+    if vals.size and vals.min() < 0.0:
         raise ValueError("adjacency weights must be nonnegative")
-    deg = A.sum(axis=1)
+    deg = np.bincount(rows, weights=vals, minlength=n)
     zero = np.flatnonzero(deg == 0.0)
     if zero.size:
         raise IsolatedVertex(int(zero[0]))
-    if connected_components(A, directed=False, return_labels=False) > 1:
+    starts = np.searchsorted(rows, np.arange(n))  # every row has an edge
+    if not _connected(starts, cols):
         return None
-    dinv = sparse.diags_array(1.0 / np.sqrt(deg))
-    # A fixed start vector keeps the result deterministic; a pseudo-random
-    # one is not orthogonal to eigenvectors that a graph symmetry makes odd.
-    v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
-    try:
-        mu, U = eigsh(dinv @ A @ dinv, k=k, which="LA", v0=v0, tol=0)
-    except ArpackError:  # includes ArpackNoConvergence
+    dinv = 1.0 / np.sqrt(deg)
+    scaled = vals * dinv[rows] * dinv[cols]
+
+    def matvec(X):
+        # Two rows travel as one complex row, so that each neighbor is
+        # gathered and each row summed once for both.
+        if len(X) == 2:
+            y = np.add.reduceat(scaled * (X[0] + 1j * X[1])[cols], starts)
+            return np.array([y.real, y.imag])
+        return np.add.reduceat(scaled * X[0][cols], starts)[None]
+
+    found = _thick_restart_lanczos(matvec, n, k)
+    if found is None:
         return None
-    return _conventional_basis(1.0 - mu[::-1], U[:, ::-1])
+    mu, U = found
+    return _conventional_basis(1.0 - mu, U)
+
+
+def _connected(starts: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the symmetric graph whose row i holds the neighbors
+    cols[starts[i]:starts[i + 1]] (none empty) is connected.
+
+    Every vertex takes the least label among its own and its neighbors',
+    then each label is replaced by its own label until none changes
+    (pointer jumping); at the fixed point each component carries its least
+    vertex index.
+    """
+    labels = np.arange(starts.size)
+    while True:
+        new = np.minimum(labels, np.minimum.reduceat(labels[cols], starts))
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if not new.any() or np.array_equal(new, labels):
+            return not new.any()
+        labels = new
+
+
+def _start_vector(n: int, seed: int) -> np.ndarray:
+    """A fixed unit vector of n pseudo-random entries in [1, 2): the
+    splitmix64 hash of seed * n + 1 + i, so that no numpy.random Generator
+    (about 6 MB to import) is needed.
+
+    Its entries are distinct, so no graph symmetry leaves it invariant: an
+    invariant start vector is orthogonal to every eigenvector that the
+    symmetry makes odd, and Lanczos would never find those.
+    """
+    z = np.arange(n, dtype=np.uint64) + np.uint64(seed * n + 1)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    v = 1.0 + (z ^ (z >> np.uint64(31))) / 2.0 ** 64
+    return v / np.linalg.norm(v)
+
+
+def _thick_restart_lanczos(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k largest eigenvalues of the symmetric n x n operator matvec
+    (which maps each row of an array), descending, and orthonormal
+    eigenvectors as columns; None if LANCZOS_MAX_RESTARTS restarts do not
+    converge.
+
+    A band Lanczos basis V of ncv = max(2k + 1, 20 b) rows (ARPACK's
+    default ncv for b = 1) grows from b = LANCZOS_BLOCK start vectors: the
+    image of row j, projected twice off rows 0..j + b - 1, becomes row
+    j + b, and the projection's coefficients fill row and column j of
+    T = V M V^T. A Ritz pair has converged when its residual is at most
+    machine epsilon, which is epsilon times the spectral radius of a
+    normalized adjacency. A restart keeps the k + (ncv - k) // 2 largest
+    Ritz vectors and the remainders of the last b images (Wu and Simon
+    2000).
+
+    A single start vector spans only one vector of each eigenspace, so it
+    cannot find both copies of an eigenvalue that a graph symmetry
+    doubles, as the rotations of a ring do; b start vectors find up to b.
+    """
+    ncv = min(n, max(2 * k + 1, 20 * LANCZOS_BLOCK))
+    keep = k + (ncv - k) // 2
+    b = min(LANCZOS_BLOCK, ncv - keep)
+    eps = np.finfo(np.float64).eps
+    V = np.empty((ncv, n))
+    T = np.zeros((ncv, ncv))
+    R = np.empty((b, n))  # the remainders of the last b rows' images
+    seeds = itertools.count()
+
+    def set_row(at, v):
+        # v projected off V[:at], at unit norm. Where v lies in their span,
+        # they span an invariant subspace, and the run goes on from the
+        # next start vector, as ARPACK's does.
+        w, _, before = _project_out(V[:at], v)
+        while _in_span(w, before):
+            w, _, before = _project_out(V[:at], _start_vector(n, next(seeds)))
+        V[at] = w / np.linalg.norm(w)
+
+    for j in range(b):
+        set_row(j, _start_vector(n, next(seeds)))
+    start = 0
+    for _ in range(LANCZOS_MAX_RESTARTS + 1):
+        for j in range(start, ncv, b):
+            # The images of rows j..j + b - 1 are projected off the basis
+            # together, each then off the rows made from those before it.
+            size = min(j + b, ncv)
+            X = matvec(V[j:j + b])
+            H = X @ V[:size].T
+            first = X - H @ V[:size]
+            again = first @ V[:size].T
+            X = first - again @ V[:size]
+            H += again
+            for r, x in enumerate(X):
+                top = min(j + r + b, ncv)
+                x, h, _ = _project_out(V[size:top], x)
+                h = np.concatenate([H[r], h])
+                spanned = False
+                if _in_span(x, np.linalg.norm(first[r])):
+                    # What is left may still hold round-off in the basis's
+                    # span: project it off the whole basis again and judge
+                    # from that, as ARPACK refines.
+                    x, again, before = _project_out(V[:top], x)
+                    h += again
+                    spanned = _in_span(x, before)
+                T[j + r, :top] = T[:top, j + r] = h
+                if top == ncv:
+                    R[j + r + b - ncv] = x
+                elif spanned:
+                    set_row(top, _start_vector(n, next(seeds)))
+                else:
+                    V[top] = x / np.linalg.norm(x)
+        theta, S = np.linalg.eigh(T)
+        residual = np.linalg.norm(R.T @ S[-b:, -k:], axis=0)
+        if np.all(residual <= eps):
+            return theta[:-k - 1:-1], V.T @ S[:, :-k - 1:-1]
+        V[:keep] = S[:, -keep:].T @ V
+        T[:] = 0.0
+        T[:keep, :keep] = np.diag(theta[-keep:])
+        for j, w in enumerate(R, start=keep):
+            set_row(j, w)
+        start = keep
+    return None
+
+
+def _project_out(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """w projected twice off the orthonormal rows of V; the coefficients
+    V w of that projection; and the norm of w after the first."""
+    h = V @ w
+    w = w - h @ V
+    before = np.linalg.norm(w)
+    again = V @ w
+    return w - again @ V, h + again, before
+
+
+def _in_span(w: np.ndarray, before: float) -> bool:
+    """Whether w, projected twice off an orthonormal basis, lay in its span
+    up to round-off, as ARPACK judges it: when the second projection took
+    away much of what the first left, whose norm is `before`."""
+    return not np.linalg.norm(w) > 0.717 * before
 
 
 def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:

@@ -1250,43 +1250,73 @@ class TestCliWarnings:
         )
 
 
-def test_small_class_runs_do_not_import_scipy(tmp_path):
-    """scipy is imported only by the large-class Lanczos path, so runs on
-    small classes do not pay for importing it."""
-    src = tmp_path / "in.csv"
-    save_features_text(src, small_pool())
+def large_pool():
+    """Two classes of 700 rows. eval-standard trains on 560 rows of each,
+    at least LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR x 35, so with
+    k2 = 35 it filters every class on the Lanczos path, as denoise does."""
+    return make_gaussian_pool(n_classes=2, per_class=700, dim=16, seed=0)
+
+
+# Makes gfdenoise.denoise record, per call of lowest_eigenpairs, whether
+# Lanczos returned a basis.
+SPY_ON_LANCZOS = (
+    "import gfdenoise.denoise\n"
+    "solve, solved = gfdenoise.denoise.lowest_eigenpairs, []\n"
+    "def spy(*args):\n"
+    "    basis = solve(*args)\n"
+    "    solved.append(basis is not None)\n"
+    "    return basis\n"
+    "gfdenoise.denoise.lowest_eigenpairs = spy\n"
+)
+
+
+def test_runs_import_nothing_beyond_numpy(tmp_path):
+    """No mode imports a third-party module other than numpy: small
+    classes are solved dense, and large ones by the library's own Lanczos."""
+    small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+    save_features_text(small, small_pool())
+    save_features_text(large, large_pool())
     script = (
         "import sys\n"
-        "from gfdenoise.cli import run_cli\n"
+        "import numpy.random  # the seeded modes draw from it\n"
+        "ambient = {m.split('.')[0] for m in sys.modules} | {'gfdenoise'}\n"
+        + SPY_ON_LANCZOS
+        + "from gfdenoise.cli import run_cli\n"
+        "out, small, large = sys.argv[1:]\n"
         "codes = [\n"
-        "    run_cli(['eval-fewshot', '--iterations', '3', '--out', sys.argv[1]]),\n"
-        "    run_cli(['denoise', '--in', sys.argv[2], '--out', sys.argv[1]]),\n"
-        "    run_cli(['verify-theory', '--iterations', '3', '--out', sys.argv[1]]),\n"
+        "    run_cli(['eval-fewshot', '--iterations', '3', '--out', out]),\n"
+        "    run_cli(['denoise', '--in', small, '--out', out]),\n"
+        "    run_cli(['verify-theory', '--iterations', '3', '--out', out]),\n"
+        "    run_cli(['eval-standard', '--in', large, '--k2', '35', '--out', out]),\n"
+        "    run_cli(['denoise', '--in', large, '--out', out]),\n"
         "]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "new = {m.split('.')[0] for m in sys.modules} - ambient - set(sys.stdlib_module_names)\n"
+        "print(codes, solved, sorted(new))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "out"), str(src)],
+        [sys.executable, "-c", script, str(tmp_path / "out"), str(small), str(large)],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.strip() == "[0, 0, 0] []", proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] [True, True, True, True] []", proc.stderr
 
 
-def test_denoise_does_not_import_numpy_random(tmp_path):
+@pytest.mark.parametrize("pool,solved", [(small_pool, "[]"), (large_pool, "[True, True]")])
+def test_denoise_does_not_import_numpy_random(tmp_path, pool, solved):
     """numpy imports numpy.random lazily, and it adds about 6 MB of resident
-    memory; denoise draws nothing, so it must not pay for it."""
+    memory; denoise draws nothing, so it must not pay for it, neither on
+    small classes nor on large ones, whose Lanczos start vectors are hashed."""
     src = tmp_path / "in.csv"
-    save_features_text(src, small_pool())
-    script = (
+    save_features_text(src, pool())
+    script = SPY_ON_LANCZOS + (
         "import sys\n"
         "from gfdenoise.cli import run_cli\n"
         "code = run_cli(['denoise', '--in', sys.argv[2], '--out', sys.argv[1]])\n"
-        "print(code, 'numpy.random' in sys.modules)\n"
+        "print(code, solved, 'numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path / "out.csv"), str(src)],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.strip() == "0 False", proc.stderr
+    assert proc.stdout.strip() == f"0 {solved} False", proc.stderr

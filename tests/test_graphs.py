@@ -259,8 +259,9 @@ class TestKnnGraphCsr:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * m * block_rows)
             W = knn_graph_csr(F, k)
-        assert W.has_sorted_indices and np.all(W.data > 0.0)
-        assert np.all(W.diagonal() == 0.0)
+        rows = np.repeat(np.arange(m), np.diff(W.indptr))
+        assert np.all(np.diff(W.indices)[np.diff(rows) == 0] > 0), "ascending within each row"
+        assert np.all(W.indices != rows) and np.all(W.data > 0.0)
         Wd = W.toarray()
         assert np.array_equal(Wd, Wd.T)
         S = cosine_similarity(F)

@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gfdenoise.errors import (
     DimensionMismatch,
     InvalidRange,
     IsolatedVertex,
 )
-from gfdenoise.graphs import clamp_negative_edges, complete_graph, cosine_similarity, knn_sparsify
+from gfdenoise.graphs import (
+    CsrGraph,
+    clamp_negative_edges,
+    complete_graph,
+    cosine_similarity,
+    knn_graph_csr,
+    knn_sparsify,
+)
 from gfdenoise.spectral import (
     apply_filter,
     eigendecompose,
@@ -166,23 +174,32 @@ class TestLowestEigenpairs:
         with pytest.raises(error) as dense:
             lowest_eigenpairs(W, 2)
         with pytest.raises(error) as csr:
-            lowest_eigenpairs(sparse.csr_array(W), 2)
+            lowest_eigenpairs(CsrGraph.from_dense(W), 2)
         assert type(csr.value) is type(dense.value)
         assert str(csr.value) == str(dense.value)
 
     def test_csr_input_matches_dense_input(self):
         W = random_knn_graph(np.random.default_rng(14), 40)
-        dense, csr = lowest_eigenpairs(W, 5), lowest_eigenpairs(sparse.csr_array(W), 5)
+        dense, csr = lowest_eigenpairs(W, 5), lowest_eigenpairs(CsrGraph.from_dense(W), 5)
         assert np.array_equal(csr.eigenvalues, dense.eigenvalues)
         assert np.array_equal(csr.eigenvectors, dense.eigenvectors)
 
     def test_explicit_zero_is_not_an_edge(self):
         # Paths 0-1 and 2-3, bridged only by a stored 0.0 between 1 and 2.
-        rows, cols = [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2]
-        W = sparse.csr_array(([1.0, 1.0, 0.0, 0.0, 1.0, 1.0], (rows, cols)), shape=(4, 4))
-        assert W.nnz == 6
+        W = CsrGraph(
+            indptr=np.array([0, 1, 3, 5, 6]),
+            indices=np.array([1, 0, 2, 1, 3, 2]),
+            data=np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]),
+            shape=(4, 4),
+        )
         assert lowest_eigenpairs(W, 1) is None
-        assert W.nnz == 6, "the caller's array is left as it was"
+        assert W.data.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0], "the caller's data is unchanged"
+
+    def test_unsorted_csr_indices_are_rejected(self):
+        W = CsrGraph.from_dense(PATH3)
+        swapped = CsrGraph(W.indptr, np.array([1, 2, 0, 1]), W.data, W.shape)
+        with pytest.raises(ValueError, match="ascend"):
+            lowest_eigenpairs(swapped, 1)
 
     def test_partial_basis_filters_with_one_gain_per_pair(self):
         rng = np.random.default_rng(13)
@@ -195,6 +212,129 @@ class TestLowestEigenpairs:
             apply_filter(basis, np.ones(3), F),
             basis.eigenvectors @ (basis.eigenvectors.T @ F),
         )
+
+
+def ring(m: int) -> np.ndarray:
+    W = np.zeros((m, m))
+    i = np.arange(m)
+    W[i, (i + 1) % m] = W[(i + 1) % m, i] = 1.0
+    return W
+
+
+def path(m: int) -> np.ndarray:
+    W = np.zeros((m, m))
+    i = np.arange(m - 1)
+    W[i, i + 1] = W[i + 1, i] = 1.0
+    return W
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on m = 30..400 vertices, as a CsrGraph: a cosine
+    kNN graph of Gaussian rows, or a ring or a path, whose symmetries
+    repeat eigenvalues (the ring's rotations double all but one or two)
+    or make half the eigenvectors odd (the reflections)."""
+    m = draw(st.integers(30, 400), label="m")
+    kind = draw(st.sampled_from(["knn", "ring", "path"]), label="kind")
+    if kind == "ring":
+        return CsrGraph.from_dense(ring(m))
+    if kind == "path":
+        return CsrGraph.from_dense(path(m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = rng.standard_normal((m, draw(st.integers(2, 64), label="d"))) + draw(
+        st.sampled_from([0.0, 0.5]), label="mean"
+    )
+    W = knn_graph_csr(F, draw(st.integers(3, 15), label="knn_k"))
+    assume(component_count(W.toarray()) == 1)
+    return W
+
+
+def component_count(W: np.ndarray) -> int:
+    """Connected components of a dense adjacency, by depth-first search."""
+    seen = np.zeros(len(W), dtype=bool)
+    count = 0
+    for root in range(len(W)):
+        if seen[root]:
+            continue
+        count += 1
+        stack = [root]
+        seen[root] = True
+        while stack:
+            for j in np.flatnonzero(W[stack.pop()] != 0.0):
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+    return count
+
+
+class TestLanczosAgainstDense:
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(), st.data())
+    def test_matches_the_dense_eigenpairs(self, W, data):
+        m = W.shape[0]
+        k = data.draw(st.integers(1, m // 4), label="k")
+        dense = eigendecompose(normalized_laplacian(W.toarray()))
+        basis = lowest_eigenpairs(W, k)
+        assert basis is not None
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+        # The filter is defined where its cuts fall between distinct eigenvalues.
+        k1 = data.draw(st.integers(1, k), label="k1")
+        gaps = np.diff(dense.eigenvalues)[[k1 - 1, k - 1]]
+        if np.all(gaps > 1e-4):
+            F = np.random.default_rng(k).standard_normal((m, 3))
+            expected = apply_filter(dense, step_response(k1, k, 0.6, m), F)
+            got = apply_filter(basis, step_response(k1, k, 0.6, k), F)
+            assert np.max(np.abs(got - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [5, 7, 9])
+    def test_many_fold_eigenvalues_give_true_eigenpairs(self, d):
+        """The d-cube's eigenvalues repeat up to C(d, d/2)-fold, more often
+        than two start vectors are sure to find: at d = 9, k = 10 misses a
+        copy of the 9-fold eigenvalue 2/9. Whatever comes back is still an
+        orthonormal set of eigenpairs, and for k <= 2 the lowest ones."""
+        i = np.arange(2**d)
+        W = np.zeros((i.size, i.size))
+        for bit in range(d):
+            W[i, i ^ (1 << bit)] = 1.0
+        L = normalized_laplacian(W)
+        for k in range(1, d + 3):
+            basis = lowest_eigenpairs(W, k)
+            if basis is None:
+                continue
+            U, lam = basis.eigenvectors, basis.eigenvalues
+            np.testing.assert_allclose(U.T @ U, np.eye(k), rtol=0.0, atol=1e-10)
+            assert np.max(np.abs(L @ U - U * lam)) <= 1e-9
+            if k <= 2:
+                np.testing.assert_allclose(lam, [0.0, 2.0 / d][:k], rtol=0.0, atol=1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(100, 400),
+        st.lists(st.tuples(st.sampled_from(["ring", "path", "knn"]), st.integers(2, 120)),
+                 min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_disconnected_graphs_are_declined(self, chain, others, seed):
+        """A long path, the most rounds of label propagation when its
+        vertices are shuffled, and 1 to 4 more components."""
+        rng = np.random.default_rng(seed)
+        blocks = [path(chain)]
+        for kind, m in others:
+            if kind == "knn":
+                S = cosine_similarity(rng.standard_normal((m, 4)))
+                blocks.append(clamp_negative_edges(knn_sparsify(S, min(5, m - 1))))
+            else:
+                blocks.append(ring(m) if kind == "ring" else path(m))
+        m = sum(len(block) for block in blocks)
+        W = np.zeros((m, m))
+        at = 0
+        for block in blocks:
+            W[at:at + len(block), at:at + len(block)] = block
+            at += len(block)
+        order = rng.permutation(m)
+        W = W[np.ix_(order, order)]
+        k = int(rng.integers(1, m // 4 + 1))
+        assert lowest_eigenpairs(CsrGraph.from_dense(W), k) is None
 
 
 class TestGftRoundTrip:
