@@ -137,21 +137,25 @@ def monte_carlo_centroid_stats(
     chunk = max(1, EPISODE_CHUNK_BYTES // trial_bytes)
 
     rng = np.random.default_rng(seed)
-    # totals[0] holds the sums and totals[1] the sums of squares, each of
-    # the raw arm then the filtered arm: (2, 2, 1, d).
+    # totals[0] holds the sums and totals[1] the sums of squared deviations
+    # from mu, each of the raw arm then the filtered arm: (2, 2, 1, d).
     totals = np.zeros((2, 2, 1, d))
     for start in range(0, trials, chunk):
         F = _draw_trials(spec, rng, min(chunk, trials - start))
         arms = np.stack([F, denoise_class(F, cfg)])
-        parts = np.stack([arms.sum(axis=2), (arms**2).sum(axis=2)])
+        sums = arms.sum(axis=2)
+        np.square(np.subtract(arms, spec.mu, out=arms), out=arms)  # in place: no second stack
+        parts = np.stack([sums, arms.sum(axis=2)])
         # A reduction over the trial axis may sum pairwise; cumsum adds the
         # trials to the totals one after another, as a per-trial loop does.
         totals = np.cumsum(np.concatenate([totals, parts], axis=2), axis=2)[:, :, -1:]
 
-    sums, sumsq = totals[:, :, 0]
+    sums, sqdev = totals[:, :, 0]
     count = trials * m
     means = sums / count
-    traces = (sumsq - count * means**2).sum(axis=1) / (count - 1)
+    # Squares of deviations from mu, unlike squares of the values, do not
+    # cancel against the mean's as |mu| / sigma grows.
+    traces = (sqdev - count * (means - spec.mu) ** 2).sum(axis=1) / (count - 1)
     raw = CentroidStats(mean_est=means[0], cov_trace_est=float(traces[0]), trials=trials)
     filtered = CentroidStats(mean_est=means[1], cov_trace_est=float(traces[1]), trials=trials)
     return raw, filtered

@@ -23,7 +23,7 @@ from .config import RunConfig, build_run_config, config_echo, parse_config_file
 from .data import LabeledFeatures, make_gaussian_pool, stratified_split
 from .denoise import batch_ends, denoise_dataset
 from .episodes import classify_episode, paired_accuracies, paired_report, per_m_seeds
-from .errors import ConfigError, DimensionMismatch, GfdError, InsufficientPool
+from .errors import ConfigError, DimensionMismatch, GfdError, InsufficientPool, InvalidSize
 # save_features is unused here, but perfbench/layertrace.py traces it in this module.
 from .fileio import (  # noqa: F401
     FeatureReader,
@@ -74,9 +74,16 @@ def load_run_config(ns: argparse.Namespace) -> RunConfig:
     return build_run_config(ns.mode, file_settings, overrides)
 
 
+def _check_width(cfg: RunConfig, d: int) -> None:
+    if d == 0:  # the binary format allows rows of no features; no mode does
+        raise InvalidSize(f"--in {cfg.input_path}: rows have 0 features")
+
+
 def _load_pool(cfg: RunConfig) -> LabeledFeatures:
     if cfg.input_path is not None:
-        return load_features(cfg.input_path, cfg.fmt)
+        pool = load_features(cfg.input_path, cfg.fmt)
+        _check_width(cfg, pool.d)
+        return pool
     return make_gaussian_pool(
         n_classes=cfg.pool.classes,
         per_class=cfg.pool.per_class,
@@ -124,6 +131,7 @@ def _out_path(out: str | None):
 
 def _cmd_denoise(cfg: RunConfig, out: str) -> None:
     with open(out, "ab") as fh, FeatureReader(cfg.input_path, cfg.fmt) as reader:
+        _check_width(cfg, reader.d)
         header, write_rows = feature_writer(cfg.fmt, reader.labels, reader.d)
         fh.write(header)
         # Each batch of whole classes is filtered in place and written, then

@@ -103,6 +103,9 @@ class RunConfig:
     def __post_init__(self):
         for m in self.m_values or ():
             replace(self.episode, m_shot=m)  # each sweep spec passes EpisodeSpec's checks
+        for name in ("input_path", "output_path", "test_path"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{_RENAMED[name]} must be a path, got an empty value")
         if self.fmt not in FORMATS:
             raise InvalidRange(f"io.format must be {' or '.join(FORMATS)}, got {self.fmt!r}")
         if self.mode in _SEEDED_MODES and self.seed < 0:

@@ -7,8 +7,7 @@ form on the complete graph), and the filtered rows replace the originals.
 A class that takes the Lanczos path (see LANCZOS_MIN_ROWS) gets its kNN
 graph from graphs.knn_graph_csr, built a block of rows at a time into a
 sparse CsrGraph, so no m x m array is held. If Lanczos declines that graph,
-the class is filtered as every other kNN class is: through the dense
-graph of graphs.class_graph and a full eigendecomposition.
+the same graph is solved by a full eigendecomposition: a class has one graph.
 
 Since a class never needs another class's rows, a file can be filtered a
 batch of whole classes at a time; batch_ends plans those batches.
@@ -106,12 +105,12 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     graph. Nor is one built for the complete graph: K_m's normalized Laplacian
     is 0 on the constant vector and m/(m-1) on the rest (Chung 1997), so with g
     the mean of the step gains 2..m, a row becomes the class mean plus g times
-    its deviation from it. Large connected kNN graphs with few passed
-    frequencies (see LANCZOS_MIN_ROWS) are built sparse and solved for only the
-    eigenpairs the filter passes; every other kNN graph is built dense and gets
-    a full eigendecomposition. A stack gives what its blocks give one at a time
-    and raises exactly when some block would; the caller that knows the blocks
-    locates the error.
+    its deviation from it. Large kNN graphs with few passed frequencies (see
+    LANCZOS_MIN_ROWS) are built sparse and solved for only the eigenpairs the
+    filter passes, or fully when Lanczos declines them; every other kNN graph
+    is built dense and gets a full eigendecomposition. A stack gives what its
+    blocks give one at a time and raises exactly when some block would; the
+    caller that knows the blocks locates the error.
     """
     F_c = np.asarray(F_c, dtype=np.float64)
     m = F_c.shape[-2]
@@ -124,10 +123,10 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
         mean = F_c.mean(axis=-2, keepdims=True)
         gain = ((eff.k1 - 1) + (eff.k2 - eff.k1) * eff.mid_gain) / (m - 1)
         return mean + gain * (F_c - mean)
-    basis = None
     if F_c.ndim == 2 and m >= LANCZOS_MIN_ROWS and LANCZOS_ROWS_PER_PAIR * eff.k2 <= m:
-        basis = lowest_eigenpairs(knn_graph_csr(F_c, eff.knn_k), eff.k2)
-    if basis is None:
+        W = knn_graph_csr(F_c, eff.knn_k)
+        basis = lowest_eigenpairs(W, eff.k2) or eigendecompose(normalized_laplacian(W.toarray()))
+    else:
         basis = eigendecompose(normalized_laplacian(class_graph(F_c, eff.graph_kind, eff.knn_k)))
     gains = step_response(eff.k1, eff.k2, eff.mid_gain, basis.eigenvalues.shape[-1])
     return apply_filter(basis, gains, F_c)

@@ -151,7 +151,7 @@ def paired_accuracies(
     index = class_index_map(pool.labels)
     n_way, m, d = spec.n_way, spec.m_shot, pool.d
     episode_bytes = n_way * (m + spec.q_query) * d * pool.features.itemsize
-    chunk = max(1, EPISODE_CHUNK_BYTES // episode_bytes)
+    chunk = max(1, EPISODE_CHUNK_BYTES // max(episode_bytes, 1))
     truth = np.arange(n_way).repeat(spec.q_query)
     class_rows = [slice(c * m, (c + 1) * m) for c in range(n_way)]
     # Spawning a chunk's seeds at a time gives the same seeds as spawning
@@ -166,7 +166,7 @@ def paired_accuracies(
             support = pool.features[rows[:, :, :m].reshape(len(children), -1)]
             query = pool.features[rows[:, :, m:].reshape(len(children), -1)]
             filtered = denoise_or_pass(
-                support.reshape(-1, m, d), denoise_cfg, "every support class"
+                support.reshape(len(children) * n_way, m, d), denoise_cfg, "every support class"
             ).reshape(support.shape)
         except GfdError:
             # Draw and filter the chunk's episodes one at a time: a child

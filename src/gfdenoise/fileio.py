@@ -35,11 +35,11 @@ A label that is not UTF-8 raises BadLabel naming its row.
 
 Each format has one batch reader, which parses and checks a run of rows,
 and one writer, which writes a file's header and then its rows a batch at
-a time (feature_writer). load_features and save_features use them on the whole file as one
-batch. FeatureReader reads a file in two passes: its labels first, then
-its rows a batch at a time, so that a caller holds one batch of rows at
-once. Binary I/O holds no copy of the feature payload: rows are read
-straight into the array returned and written from the array's own buffer.
+a time (feature_writer); load_features_text and save_features use them on
+the whole file. FeatureReader reads a file's labels, then its rows a batch
+at a time, so that a caller holds one batch at once; load_features_binary
+is its one batch. Binary I/O holds no copy of the feature payload: rows
+are read straight into the array returned and written from its own buffer.
 
 Both readers reject NaN and infinite feature values.
 
@@ -248,21 +248,17 @@ def _binary_rows(fh, rows: int, d: int, first_row: int = 0) -> np.ndarray:
 
 
 def load_features_binary(path) -> LabeledFeatures:
-    """Read the binary format as one batch; bit-exact inverse of
-    save_features_binary."""
-    with open(path, "rb") as fh:
-        n, d, width = _binary_header(fh)
-        labels = _binary_labels(fh, n, width)
-        features = _binary_rows(fh, n, d)
-        if fh.read(1):
-            raise TruncatedFile("trailing bytes after feature payload")
-    return LabeledFeatures(features=features, labels=labels)
+    """Read the binary format as FeatureReader's one batch; bit-exact
+    inverse of save_features_binary."""
+    with FeatureReader(path, "bin") as reader:
+        [(batch, _)] = reader.batches([len(reader.labels)])
+    return batch
 
 
 class FeatureReader:
-    """A feature file read in two passes over one open file: the labels
-    pass on opening, then its rows a batch at a time by batches(). The
-    file must be a regular file, which NotRegularFile enforces.
+    """A feature file read over one open file: its labels on opening, then
+    its rows a batch at a time by batches(). Text is read twice, so it must
+    be a regular file (NotRegularFile); binary is read once, so a pipe will do.
 
     labels: every row's label; d: the row width (for text, the number of
     values on the first data line, which every row must match)."""
@@ -271,12 +267,12 @@ class FeatureReader:
         self._fmt = fmt
         self._fh = open(path, "rb") if fmt == "bin" else open_text(path)
         try:
-            if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
-                raise NotRegularFile(f"{path} is read twice, so it must be a regular file")
             if fmt == "bin":
                 n, self.d, width = _binary_header(self._fh)
                 self.labels = _binary_labels(self._fh, n, width)
             else:
+                if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
+                    raise NotRegularFile(f"{path} is read twice, so it must be a regular file")
                 records = _records(self._fh)
                 first, self.d = _first_record(records)
                 self.labels = np.asarray([first[1], *(label for _, label, _ in records)])
@@ -295,7 +291,8 @@ class FeatureReader:
         increasing row indices `ends` (the last being the row count), the
         batch parsed and checked, and a function naming a batch row: by
         its line (text) or its file row (binary). A batch is not held once
-        the next one is asked for."""
+        the next one is asked for, and binary bytes after the last raise
+        TruncatedFile."""
         start = 0
         if self._fmt == "bin":
             for end in ends:
@@ -306,6 +303,8 @@ class FeatureReader:
                 yield batch, (lambda i, start=start: f"row {start + i}")
                 del batch
                 start = end
+            if self._fh.read(1):
+                raise TruncatedFile("trailing bytes after feature payload")
             return
         self._fh.seek(0)
         records = _records(self._fh)

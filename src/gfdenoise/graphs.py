@@ -6,10 +6,11 @@ what its block gives alone.
 
 knn_graph_csr builds the same kNN graph as class_graph for one large
 class, a block of rows at a time and straight into a CsrGraph, so no
-m x m array is held. Each block's similarities are the row-block
-product unit[I] @ unit.T, while cosine_similarity's unit @ unit.T is one
-product that numpy serves with a symmetric rank-k update (SYRK). The two
-can differ in the last bits. With numpy's OpenBLAS on a 2-vCPU x86-64 VM,
+m x m array is held. It is that class's only graph: when Lanczos declines
+it, its toarray() is solved densely. Each block's similarities are the
+row-block product unit[I] @ unit.T, while cosine_similarity's unit @ unit.T
+is one product that numpy serves with a symmetric rank-k update (SYRK). The
+two can differ in the last bits. With numpy's OpenBLAS on a 2-vCPU x86-64 VM,
 at m = 600..2,000 and d = 8..256, they were often bit-equal; they differed
 by up to 5.6e-16 for blocks of 3 to 327 rows and by up to 1.6e-15 for
 blocks of 1 or 2 rows. Only a similarity within a few ulp of its row's
@@ -216,8 +217,9 @@ def knn_graph_csr(F: np.ndarray, k: int) -> CsrGraph:
 
 
 def class_graph(F: np.ndarray, kind: str, knn_k: int) -> np.ndarray:
-    """Adjacency of one class graph: cosine kNN ("knn") or unit-weight
-    complete ("complete").
+    """Adjacency of one dense class graph: cosine kNN ("knn") or
+    unit-weight complete ("complete"). denoise builds it for the classes
+    and stacks that do not take the sparse path of knn_graph_csr.
 
     For a (B, m, d) stack, "knn" gives one (m, m) graph per block, and
     "complete" the single (m, m) graph that every block shares.

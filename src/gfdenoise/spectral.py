@@ -98,29 +98,26 @@ def _conventional_basis(lam: np.ndarray, U: np.ndarray) -> SpectralBasis:
     return SpectralBasis(eigenvectors=U, eigenvalues=lam)
 
 
-def lowest_eigenpairs(W: np.ndarray | CsrGraph, k: int) -> SpectralBasis | None:
-    """The k lowest eigenpairs of W's normalized Laplacian, or None when
-    W's graph has more than one connected component or Lanczos does not
-    converge. W is a dense array or a CsrGraph; a stored 0.0 is no edge.
+def lowest_eigenpairs(W: CsrGraph, k: int) -> SpectralBasis | None:
+    """The k lowest eigenpairs of the normalized Laplacian of the sparse
+    adjacency W, or None when W's graph has more than one connected
+    component or Lanczos does not converge. A stored 0.0 is no edge.
 
     Thick-restart block Lanczos from two start vectors (see
     _thick_restart_lanczos) finds the k largest eigenvalues mu of the
     sparse normalized adjacency D^{-1/2} W D^{-1/2}; the Laplacian's are
-    lambda = 1 - mu. W is checked like normalized_laplacian checks it,
-    with the same errors, and the basis follows eigendecompose's
+    lambda = 1 - mu. W is checked like normalized_laplacian checks a dense
+    adjacency, with the same errors, and the basis follows eigendecompose's
     conventions. A disconnected graph repeats eigenvalue 0 as often as it
     has components, more often than Lanczos can be sure to find it, so
-    such a graph is left to eigendecompose, as is a graph on which Lanczos
-    does not converge.
+    the caller solves such a graph, and one on which Lanczos does not
+    converge, by eigendecompose of W.toarray()'s Laplacian.
     """
-    shape = W.shape if isinstance(W, CsrGraph) else np.shape(W)
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise DimensionMismatch(f"adjacency must be square, got shape {shape}")
-    n = shape[0]
+    n = W.shape[0]
+    if W.shape[1] != n:
+        raise DimensionMismatch(f"adjacency must be square, got shape {W.shape}")
     if not 1 <= k < n:
         raise InvalidRange(f"need 1 <= k < n, got k={k} n={n}")
-    if not isinstance(W, CsrGraph):
-        W = CsrGraph.from_dense(W)
     rows = np.repeat(np.arange(n), np.diff(W.indptr))
     cols, vals = W.indices, np.asarray(W.data, dtype=np.float64)
     edge = vals != 0.0

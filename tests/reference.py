@@ -57,24 +57,24 @@ def draw_gaussian_class(spec, rng):
 def per_trial_centroid_stats(spec, graph_kind, k, trials, seed, knn_k=None):
     """monte_carlo_centroid_stats one trial at a time: the trial's m x d
     block drawn as the next block of the seed's one stream, filtered alone
-    by denoise_class with the ideal rank-k low-pass, and its sums added to
-    the totals."""
+    by denoise_class with the ideal rank-k low-pass, and its sums and its
+    squared deviations from mu added to the totals."""
     if knn_k is None:
         knn_k = spec.m - 1
     cfg = DenoiseConfig(knn_k, k, k, 0.0, graph_kind)
     sums = np.zeros((2, spec.d))
-    sumsq = np.zeros((2, spec.d))
+    sqdev = np.zeros((2, spec.d))
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         F = draw_gaussian_class(spec, rng)
         F_f = denoise_class(F, cfg)
         sums[0] += F.sum(axis=0)
-        sumsq[0] += (F**2).sum(axis=0)
+        sqdev[0] += ((F - spec.mu) ** 2).sum(axis=0)
         sums[1] += F_f.sum(axis=0)
-        sumsq[1] += (F_f**2).sum(axis=0)
+        sqdev[1] += ((F_f - spec.mu) ** 2).sum(axis=0)
     count = trials * spec.m
     means = sums / count
-    traces = (sumsq - count * means**2).sum(axis=1) / (count - 1)
+    traces = (sqdev - count * (means - spec.mu) ** 2).sum(axis=1) / (count - 1)
     return tuple(
         CentroidStats(mean_est=means[arm], cov_trace_est=float(traces[arm]), trials=trials)
         for arm in (0, 1)

@@ -155,6 +155,18 @@ class TestMonteCarlo:
         assert np.all(np.abs(filt.mean_est) <= 4.0 / np.sqrt(m * 2000))
         assert filt.cov_trace_est / raw.cov_trace_est == pytest.approx(1.0 / m, rel=0.20)
 
+    def test_covariance_ratio_holds_at_large_mu(self):
+        """Deviations from mu are squared, not the values, so a mean of 1e7
+        sigmas leaves the covariance ratio as a mean of 0 gives it; summed
+        squares of the values gave 0.155 here instead of 0.197."""
+        ratios = []
+        for mu in (0.0, 1e7):
+            raw, filt = monte_carlo_centroid_stats(
+                spec_of(5, 8, mu=mu), "complete", k=1, trials=2000, seed=1
+            )
+            ratios.append(filt.cov_trace_est / raw.cov_trace_est)
+        assert abs(ratios[1] - ratios[0]) <= 1e-6
+
     def test_seed_reproducibility(self):
         a = monte_carlo_centroid_stats(spec_of(5, 3), "complete", 1, trials=150, seed=3)
         b = monte_carlo_centroid_stats(spec_of(5, 3), "complete", 1, trials=150, seed=3)

@@ -522,6 +522,30 @@ class TestCliInputNotUtf8:
         assert os.listdir(tmp_path) == ["in.bin"]
 
 
+class TestCliZeroWidthInput:
+    """The binary format allows rows of 0 features; every mode that reads
+    --in refuses them before any filtering, naming --in."""
+
+    EXTRA = {
+        "denoise": [],
+        "eval-fewshot": ["--n-way", "3", "--m-shot", "2", "--q-query", "3", "--iterations", "5"],
+        "eval-standard": [],
+    }
+
+    @pytest.mark.parametrize("mode", list(EXTRA))
+    def test_refused_before_filtering(self, tmp_path, capsys, monkeypatch, mode):
+        src, dst = tmp_path / "in.bin", tmp_path / "out"
+        save_features(src, LabeledFeatures(np.zeros((40, 0)), np.repeat(list("abcd"), 10)), "bin")
+        filtered = []
+        for name in ("denoise_dataset", "paired_accuracies"):
+            monkeypatch.setattr(gfdenoise.cli, name, lambda *a, **kw: filtered.append(a))
+        argv = [mode, "--format", "bin", "--in", str(src), "--out", str(dst), *self.EXTRA[mode]]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"gfdenoise: error: --in {src}: rows have 0 features\n"
+        assert filtered == []
+        assert os.listdir(tmp_path) == ["in.bin"]
+
+
 # Labels of rows in the layouts the streamed denoise must keep apart.
 def _grouped(n_classes, rows):
     return [f"g{c}" for c in range(n_classes) for _ in range(rows)]
@@ -644,14 +668,44 @@ class TestCliDenoiseStreamed:
         assert peak < 0.5 * payload
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
-    @pytest.mark.parametrize("fmt", ["text", "bin"])
-    def test_input_that_is_not_a_regular_file_is_refused(self, tmp_path, capsys, fmt):
+    def test_text_input_that_is_not_a_regular_file_is_refused(self, tmp_path, capsys):
         dst = tmp_path / "out"
-        assert run_cli(["denoise", "--format", fmt, "--in", "/dev/null", "--out", str(dst)]) == 1
+        assert run_cli(["denoise", "--in", "/dev/null", "--out", str(dst)]) == 1
         assert capsys.readouterr().err == (
             "gfdenoise: error: /dev/null is read twice, so it must be a regular file\n"
         )
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("tail", ["", "cut", "trailing"])
+    def test_binary_pipe_denoises_as_the_file(self, tmp_path, tail):
+        """Binary is read once, so a pipe gives the bytes the file gives; a
+        pipe whose payload is short or long fails as that file fails."""
+        src = tmp_path / "in.bin"
+        save_features(src, small_pool(), "bin")
+        data = src.read_bytes()
+        data = {"": data, "cut": data[:-5], "trailing": data + b"x"}[tail]
+        src.write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        outcomes = []
+        for path, stdin in ((src, None), ("/dev/stdin", data)):
+            out = tmp_path / f"{len(outcomes)}.bin"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gfdenoise.cli", "denoise", "--format", "bin",
+                 "--in", str(path), "--out", str(out)],
+                input=stdin, env=env, capture_output=True, timeout=120,
+            )
+            written = out.read_bytes() if out.exists() else None
+            outcomes.append((proc.returncode, proc.stderr, written))
+        assert outcomes[1] == outcomes[0]
+        if tail:
+            message = "feature payload shorter" if tail == "cut" else "trailing bytes"
+            assert outcomes[0][0] == 1 and message in outcomes[0][1].decode()
+            assert sorted(os.listdir(tmp_path)) == ["in.bin"]
+        else:
+            want = tmp_path / "want.bin"
+            save_features(want, denoise_dataset(small_pool(), DenoiseConfig()), "bin")
+            assert outcomes[0] == (0, b"", want.read_bytes())
 
 
 class TestCliEval:
@@ -908,6 +962,30 @@ class TestCliOut:
         assert capsys.readouterr().err == f"gfdenoise: error: --out {dst}: Is a directory\n"
         assert self.work == []
         assert os.listdir(dst) == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("key,flag", [
+        ("io.input", "--in"), ("io.output", "--out"), ("io.input", None), ("io.output", None),
+        ("io.test", None),
+    ])
+    def test_empty_path_is_config_error(self, tmp_path, capsys, monkeypatch, mode, key, flag):
+        """An empty path, from a flag or a config file, is refused before
+        any work; nothing is created in the working directory or its
+        parent."""
+        argv = _mode_argv(mode, tmp_path)
+        if key == "io.input" and "--in" in argv and not flag:  # else the flag wins
+            del argv[argv.index("--in"):argv.index("--in") + 2]
+        (tmp_path / "empty.cfg").write_text(f"{key} =\n")
+        argv += [flag, ""] if flag else ["--config", str(tmp_path / "empty.cfg")]
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        before = sorted(os.listdir(tmp_path))
+        assert run_cli([*argv, "--seed", "4"]) == 2
+        assert capsys.readouterr().err == (
+            f"gfdenoise: config error: {key} must be a path, got an empty value\n"
+        )
+        assert self.work == []
+        assert sorted(os.listdir(tmp_path)) == before and os.listdir(tmp_path / "cwd") == []
 
     @pytest.mark.parametrize("mode", ["eval-fewshot", "verify-theory"])
     def test_failed_run_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, mode):

@@ -157,27 +157,34 @@ class TestSolverPaths:
         assert solver_calls == [("lowest_eigenpairs", True)]
         assert np.max(np.abs(out - expected)) <= 1e-9
 
-    def test_large_disconnected_class_takes_dense_path(self, solver_calls):
-        # Two tight clusters along orthogonal directions: every row's 10
-        # nearest neighbors lie in its own cluster, so no edge crosses.
-        rng = np.random.default_rng(31)
-        F = 0.05 * rng.standard_normal((800, 16))
-        F[:400, 0] += 1.0
-        F[400:, 1] += 1.0
-        expected, basis = dense_reference(F, self.CFG)
-        assert np.count_nonzero(basis.eigenvalues < 1e-9) == 2
-        solver_calls.clear()
+    @pytest.mark.parametrize("declined", ["disconnected", "unconverged"])
+    def test_declined_class_is_solved_on_its_own_graph(self, solver_calls, monkeypatch, declined):
+        """A class that Lanczos declines is solved densely on the CsrGraph
+        that Lanczos was given; no second graph is built."""
+        if declined == "disconnected":
+            # Two tight clusters along orthogonal directions: every row's 10
+            # nearest neighbors lie in its own cluster, so no edge crosses.
+            rng = np.random.default_rng(31)
+            F = 0.05 * rng.standard_normal((800, 16))
+            F[:400, 0] += 1.0
+            F[400:, 1] += 1.0
+        else:
+            # One pass of Lanczos with no restart leaves some of 40 pairs unconverged.
+            monkeypatch.setattr(gfdenoise.spectral, "LANCZOS_MAX_RESTARTS", 0)
+            F = gaussian_class(np.random.default_rng(33), 800, 8, mu=0.3)
+        eff = self.CFG.for_class_size(len(F))
+        basis = eigendecompose(normalized_laplacian(graphs.knn_graph_csr(F, eff.knn_k).toarray()))
+        expected = apply_filter(basis, step_response(eff.k1, eff.k2, eff.mid_gain, len(F)), F)
+        components = np.count_nonzero(basis.eigenvalues < 1e-9)
+        assert components == (2 if declined == "disconnected" else 1)
+
+        def second_graph(*args):
+            raise AssertionError("a class on the Lanczos route builds one graph")
+
+        monkeypatch.setattr(gfdenoise.denoise, "class_graph", second_graph)
         out = denoise_class(F, self.CFG)
         assert solver_calls == [("lowest_eigenpairs", False), ("eigendecompose", True)]
         assert np.array_equal(out, expected)
-
-    def test_lanczos_failure_falls_back_to_dense(self, solver_calls, monkeypatch):
-        # One pass of Lanczos with no restart leaves some of 40 pairs unconverged.
-        monkeypatch.setattr(gfdenoise.spectral, "LANCZOS_MAX_RESTARTS", 0)
-        F = gaussian_class(np.random.default_rng(33), 800, 8, mu=0.3)
-        out = denoise_class(F, self.CFG)
-        assert solver_calls == [("lowest_eigenpairs", False), ("eigendecompose", True)]
-        assert np.array_equal(out, dense_reference(F, self.CFG)[0])
 
     @pytest.mark.parametrize(
         "m,cfg",

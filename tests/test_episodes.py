@@ -268,6 +268,16 @@ class TestMatchesPerEpisodeReference:
             paired_accuracies(*args)
         assert outcome(lambda: per_episode_accuracies(*args)) == (ZeroVector, str(exc.value))
 
+    def test_zero_width_pool_raises_as_one_episode_does(self):
+        """Rows of 0 features make an episode of 0 bytes, which sizes no
+        chunk; its support rows have zero norm."""
+        pool = LabeledFeatures(np.zeros((40, 0)), np.repeat(list("abcd"), 10))
+        args = (pool, EpisodeSpec(n_way=3, m_shot=2, q_query=3), DenoiseConfig(),
+                ClassifierConfig(), 5, 0)
+        with pytest.raises(ZeroVector) as exc:
+            paired_accuracies(*args)
+        assert outcome(lambda: per_episode_accuracies(*args)) == (ZeroVector, str(exc.value))
+
     def test_failed_draw_after_a_failing_episode_of_its_chunk(self, pool, monkeypatch):
         # One class has a zero row and another too few rows. Within a chunk,
         # an episode that raises ZeroVector before the draw that raises

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -465,10 +466,29 @@ class TestFeatureReader:
         assert getattr(exc.value, "line" if fmt == "text" else "row") == (3 if fmt == "text" else 2)
 
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
-    @pytest.mark.parametrize("fmt", ["text", "bin"])
-    def test_not_a_regular_file_is_refused(self, fmt):
+    def test_text_that_is_not_a_regular_file_is_refused(self):
         with pytest.raises(NotRegularFile, match="must be a regular file"):
-            FeatureReader("/dev/null", fmt)
+            FeatureReader("/dev/null", "text")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("tail", ["", "cut", "trailing"])
+    def test_binary_pipe_loads_as_the_file(self, tmp_path, tail):
+        """Binary is read once, so a FIFO loads as the file with its bytes
+        does, and a short or long payload fails as that file fails."""
+        path, fifo = tmp_path / "f.bin", tmp_path / "fifo"
+        save_features_binary(path, random_dataset(np.random.default_rng(8), n=9, d=3))
+        data = path.read_bytes()
+        path.write_bytes({"": data, "cut": data[:-5], "trailing": data + b"x"}[tail])
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            assert text_outcome(load_features_binary, fifo) == text_outcome(
+                load_features_binary, path
+            )
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
 
 
 class TestFeatureWriter:
