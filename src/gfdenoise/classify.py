@@ -82,7 +82,8 @@ def predict(support: np.ndarray, class_rows, query: np.ndarray, cfg: ClassifierC
     owner = np.empty(support.shape[-2], dtype=np.intp)
     for c, rows in enumerate(class_rows):
         owner[rows] = c
-    row_bytes = 8 * support.shape[-2] * math.prod(query.shape[:-2])
+    stack = np.broadcast_shapes(support.shape[:-2], query.shape[:-2])
+    row_bytes = 8 * support.shape[-2] * math.prod(stack)
     step = max(1, DISTANCE_BLOCK_BYTES // max(row_bytes, 1))
     nearest = [
         np.argmin(pairwise_distances(query[..., i:i + step, :], support, cfg.metric), axis=-1)

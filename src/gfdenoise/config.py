@@ -230,11 +230,14 @@ def config_echo(cfg: RunConfig) -> dict:
     """Exact effective configuration, suitable for byte-identical re-runs.
 
     A single few-shot run echoes knn_k, k1 and k2 clipped to its support
-    class size, as the filter applies them.
+    class size, as the filter applies them. verify-theory echoes the
+    rank-k low-pass its trials apply: k1 = k2 = theory.k, mid_gain 0.
     """
     denoise = cfg.denoise
     if cfg.mode == "eval-fewshot" and cfg.m_values is None:
         denoise = denoise.for_class_size(cfg.episode.m_shot)
+    if cfg.mode == "verify-theory":
+        denoise = replace(denoise, k1=cfg.theory.k, k2=cfg.theory.k, mid_gain=0.0)
     echo = {
         "mode": cfg.mode,
         "seed": cfg.seed,

@@ -11,13 +11,12 @@ as it does a matrix of zero columns, whose `label,` lines would not load.
 Text is UTF-8: a line holding a byte that is not raises ParseError naming
 the line, as the line is read.
 
-The text reader reads each line once. It parses the rows a chunk of about
-TEXT_CHUNK_BYTES of features at a time: one np.loadtxt call per chunk, or,
-for a chunk holding a line that call must not take or rejects, one float()
-call per value, which names the first bad line. A pipe therefore loads
-exactly as a regular file with the same bytes does.
+The text reader has one parser: it reads each line once and parses it as
+it is read, one float() call per value, so a file's faults are reported
+in line order, the first bad line named, and a pipe loads exactly as a
+regular file with the same bytes does.
 Text costs far more than binary: at 50,000 x 128 (2-core machine), text
-took about 5.5 s to save and 3.4 s to load, binary 0.1-0.2 s each.
+took about 5.6 s to save and 3.6-4.2 s to load, binary 0.1-0.2 s each.
 
 Binary format (all integers little-endian):
 
@@ -71,11 +70,8 @@ from .errors import (
 FORMATS = ("text", "bin")
 MAGIC = b"GFDENSE1"
 _HEADER = struct.Struct("<8sQQI")
-# ASCII separators that np.loadtxt strips from a value as whitespace but
-# float() rejects; a chunk holding one is parsed one value at a time.
-_NUMPY_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 # The text writer formats the rows of about this many bytes of features into
-# one string per write call, and the reader parses as many rows per chunk.
+# one string per write call (the reader parses a line at a time).
 # Formatting builds about 10 times their size in Python floats and strings,
 # so a chunk is kept well below a denoise batch (DENOISE_BATCH_BYTES): on 200
 # classes of 50 x 128 rows, 1 MiB chunks raised the traced peak of `denoise`
@@ -129,61 +125,35 @@ def _first_record(records):
     return first, (first[2] or "").count(",") + 1
 
 
-def _chunk_rows(d: int) -> int:
-    """Rows of d values in a text chunk (see TEXT_CHUNK_BYTES)."""
-    return max(1, TEXT_CHUNK_BYTES // (8 * d))
-
-
-def _parse_chunk(chunk: list, d: int) -> np.ndarray:
-    """The values of a list of records, d of them on each line.
-
-    One np.loadtxt call parses them. A chunk holding a line that call must
-    not take, or one it rejects, is parsed one float() call per value
-    instead, which raises the typed error naming the first bad line, or
-    accepts the values only float() takes (`1_0`, non-ASCII digits)."""
-    values = [v for _, _, v in chunk]
-    try:
-        if all(v and not any(c in v for c in _NUMPY_ONLY_SPACES) for v in values):
-            rows = np.loadtxt(values, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
-            if rows.shape[1] == d:
-                return rows
-    except ValueError:
-        pass
-    rows = []
-    for lineno, _, v in chunk:
-        if v is None:
-            raise ParseError(lineno, f"line {lineno}: expected label,v1,...,vd")
-        try:
-            row = [float(p) for p in v.split(",")]
-        except ValueError:
-            raise ParseError(lineno, f"line {lineno}: non-numeric feature value")
-        if len(row) != d:
-            raise InconsistentDimension(lineno, f"line {lineno}: {len(row)} values, expected {d}")
-        rows.append(row)
-    return np.asarray(rows)
-
-
 def _read_text(records, d: int | None = None, first_row: int = 0, n_hint: int = 0):
     """The text batch reader: the rows of an iterator of records, and each
     row's line number. Rows are numbered from first_row, and every row must
     hold d values when d is given, else as many as the first.
 
-    Records are parsed a chunk at a time into one array of n_hint rows, the
-    number of records when known, which grows in place by a quarter when
-    they outnumber it, as np.loadtxt grows its own."""
+    Each record is parsed as it is read, one float() call per value, into
+    one array of n_hint rows, the number of records when known, which grows
+    in place by a quarter when they outnumber it. A line's faults are
+    checked in the reference's order: no comma, a value float() rejects,
+    then the count of values; finiteness once every row is read."""
     first, width = _first_record(records)
     d = width if d is None else d
-    records, step = chain((first,), records), _chunk_rows(d)
-    features, n, labels, linenos = np.empty((n_hint, d)), 0, [], array("q")
-    while chunk := list(islice(records, step)):
-        rows = _parse_chunk(chunk, d)
-        if n + len(rows) > len(features):
-            features.resize((max(n + len(rows), len(features) * 5 // 4), d))
-        features[n : n + len(rows)] = rows
-        n += len(rows)
-        labels += [label for _, label, _ in chunk]
-        linenos.extend([lineno for lineno, _, _ in chunk])
-    features.resize((n, d))
+    features, labels, linenos = np.empty((n_hint, d)), [], array("q")
+    for n, (lineno, label, values) in enumerate(chain((first,), records)):
+        if values is None:
+            raise ParseError(lineno, f"line {lineno}: expected label,v1,...,vd")
+        parts = values.split(",")
+        try:
+            row = np.fromiter(map(float, parts), np.float64, len(parts))
+        except ValueError:
+            raise ParseError(lineno, f"line {lineno}: non-numeric feature value") from None
+        if len(parts) != d:
+            raise InconsistentDimension(lineno, f"line {lineno}: {len(parts)} values, expected {d}")
+        if n == len(features):
+            features.resize((max(n + 1, n * 5 // 4), d))
+        features[n] = row
+        labels.append(label)
+        linenos.append(lineno)
+    features.resize((len(labels), d))
     _check_finite(features, first_row, linenos)
     return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
 
@@ -223,9 +193,16 @@ def _binary_header(fh) -> tuple[int, int, int]:
 
 
 def _binary_labels(fh, n: int, width: int) -> np.ndarray:
-    block = fh.read(n * width)
-    if len(block) < n * width:
-        raise TruncatedFile("label block shorter than header implies")
+    """The n labels of width bytes each. The block is read 1 MiB at a time,
+    so a pipe holding less than its header claims raises TruncatedFile
+    without first asking for the memory claimed."""
+    block = bytearray()
+    while len(block) < n * width:
+        if not (piece := fh.read(min(1 << 20, n * width - len(block)))):
+            raise TruncatedFile("label block shorter than header implies")
+        block += piece
+    if not width:
+        return np.full(n, "")
     return np.asarray([_binary_label(block[i * width : (i + 1) * width], i) for i in range(n)])
 
 
@@ -329,7 +306,7 @@ def _text_writer(labels: np.ndarray, d: int):
             raise ValueError(f"label {label!r} not representable in text format")
     # "%.17g" % v and f"{v:.17g}" format a float identically.
     row_format = "%s," + ",".join(["%.17g"] * d) + "\n"
-    step = _chunk_rows(d)
+    step = max(1, TEXT_CHUNK_BYTES // (8 * d))
 
     def write_rows(fh, batch: LabeledFeatures) -> None:
         labels = batch.labels.tolist()

@@ -211,6 +211,31 @@ class TestPredict:
             assert np.array_equal(predict(support[b], class_rows, query[b], cfg), one_block[b])
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_nn1_blocks_fit_the_budget_across_both_stacks(self, monkeypatch, metric):
+        """The few-shot engine's support stack, (arms, chunk, n, d), has an
+        axis the query's (chunk, q, d) lacks: a block of distances counts
+        both operands' stack axes."""
+        rng = np.random.default_rng(12)
+        support = rng.standard_normal((2, 3, 40, 4))
+        query = rng.standard_normal((3, 50, 4))
+        class_rows = [slice(0, 10), slice(10, 25), slice(25, 40)]
+        cfg = ClassifierConfig("nn1", metric)
+        one_block = predict(support, class_rows, query, cfg)
+        budget = 8 * 2 * 3 * 40 * 20
+        blocks, distances = [], classify.pairwise_distances
+
+        def spy(A, B, metric):
+            blocks.append(block := distances(A, B, metric))
+            return block
+
+        monkeypatch.setattr(classify, "DISTANCE_BLOCK_BYTES", budget)
+        monkeypatch.setattr(classify, "pairwise_distances", spy)
+        blocked = predict(support, class_rows, query, cfg)
+        assert np.array_equal(blocked, one_block)
+        assert [b.shape for b in blocks] == [(2, 3, 20, 40), (2, 3, 20, 40), (2, 3, 10, 40)]
+        assert all(b.nbytes <= budget for b in blocks)
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_ncm_tie_goes_to_lowest_class(self, metric):
         # Class 1's rows come first; both class means are equally near the query.
         support = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]])

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from gfdenoise.config import (
     PoolConfig,
     RunConfig,
     build_run_config,
+    config_echo,
     parse_config_file,
 )
 from gfdenoise.data import LabeledFeatures, make_gaussian_pool
@@ -545,6 +547,27 @@ class TestCliZeroWidthInput:
         assert filtered == []
         assert os.listdir(tmp_path) == ["in.bin"]
 
+
+
+class TestCliPipedBinaryHeader:
+    """No file size bounds a pipe: a binary header claiming more label
+    bytes than the pipe holds fails as a file with those bytes fails,
+    without first asking for the memory it claims."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("mode", ["denoise", "eval-standard"])
+    def test_is_a_typed_error(self, tmp_path, mode):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfdenoise.cli", mode, "--format", "bin", "--in", "/dev/stdin",
+             "--out", str(tmp_path / "out")],
+            input=struct.pack("<8sQQI", b"GFDENSE1", 2**61, 1, 1), env=env, capture_output=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, "gfdenoise: error: label block shorter than header implies\n"
+        )
+        assert os.listdir(tmp_path) == []
 
 # Labels of rows in the layouts the streamed denoise must keep apart.
 def _grouped(n_classes, rows):
@@ -1206,13 +1229,13 @@ class TestCliVerifyTheory:
         assert "deviation_note" in report
         assert by_m[5]["mean_factor_agrees"] is False
 
-    def _report(self, tmp_path, knn_k):
+    def _report(self, tmp_path, knn_k, *flags):
         cfg = tmp_path / "theory.cfg"
         cfg.write_text("theory.m_values = 5,8\ntheory.d = 3\n")
-        out = tmp_path / f"theory-{knn_k}.json"
+        out = tmp_path / f"theory-{knn_k}{''.join(flags)}.json"
         code = run_cli([
             "verify-theory", "--config", str(cfg), "--graph", "knn", "--knn-k", str(knn_k),
-            "--iterations", "40", "--seed", "2", "--out", str(out),
+            "--iterations", "40", "--seed", "2", "--out", str(out), *flags,
         ])
         assert code == 0
         return load_report(out)
@@ -1228,6 +1251,23 @@ class TestCliVerifyTheory:
                 assert entry["monte_carlo"][arm]["cov_trace_est"] == expected.cov_trace_est
         # knn_k = 99 clips to m - 1, the complete cosine graph.
         assert self._report(tmp_path, 99)["results"] != report["results"]
+
+    def test_echo_shows_the_filter_the_trials_apply(self, tmp_path):
+        """The trials take the rank-k low-pass, k1 = k2 = theory.k and
+        mid_gain 0, whatever the denoise.* filter keys say; knn_k is
+        echoed as set."""
+        plain, with_k2 = self._report(tmp_path, 3), self._report(tmp_path, 3, "--k2", "3")
+        assert with_k2["results"] == plain["results"]
+        for report in (plain, with_k2):
+            assert report["config"]["denoise"] == {
+                "knn_k": 3, "k1": 1, "k2": 1, "mid_gain": 0.0, "graph_kind": "knn",
+            }
+        cfg = build_run_config(
+            "verify-theory", {"theory.k": "2", "denoise.mid_gain": "0.3"}, {"denoise.k2": "3"}
+        )
+        assert config_echo(cfg)["denoise"] == {
+            "knn_k": 10, "k1": 2, "k2": 2, "mid_gain": 0.0, "graph_kind": "complete",
+        }
 
     @pytest.mark.parametrize(
         "setting,message",

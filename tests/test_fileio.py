@@ -191,7 +191,7 @@ def text_outcome(load, path, *args):
 
 def same_outcome_as_reference(text, chunk_bytes=gfdenoise.fileio.TEXT_CHUNK_BYTES):
     """The outcome of loading text (or bytes), which must be the
-    reference's, read in chunks of about chunk_bytes of features."""
+    reference's, with TEXT_CHUNK_BYTES set to chunk_bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -201,8 +201,10 @@ def same_outcome_as_reference(text, chunk_bytes=gfdenoise.fileio.TEXT_CHUNK_BYTE
     return got
 
 
-# Chunks of 1 to 8 rows of the files drawn below, and the default chunk.
-CHUNK_BYTES = st.sampled_from([8, 24, 64, gfdenoise.fileio.TEXT_CHUNK_BYTES])
+# TEXT_CHUNK_BYTES of 1 to 8 rows of the files drawn below, and the default,
+# none of which may change what the reader returns.
+CHUNK_SIZES = [8, 24, 64, gfdenoise.fileio.TEXT_CHUNK_BYTES]
+CHUNK_BYTES = st.sampled_from(CHUNK_SIZES)
 
 
 EDGE_FLOATS = [
@@ -228,7 +230,7 @@ def tables(draw):
 
 
 # Spellings of a value, each parsed by float(); the last two hold an
-# underscore or full-width digits, which np.loadtxt does not take.
+# underscore or full-width digits.
 VALUE_SPELLINGS = [
     lambda v: repr(v),
     lambda v: f"{v:.17g}",
@@ -307,8 +309,8 @@ class TestMatchesTextReference:
     @settings(max_examples=250, deadline=None)
     @given(text_files(bad_rows=True), CHUNK_BYTES)
     def test_malformed_files_raise_identically(self, text, chunk_bytes):
-        """A non-finite value in an early chunk is reported only once the
-        later chunks parse, as the reference checks finiteness after
+        """A non-finite value on an early line is reported only once the
+        later lines parse, as the reference checks finiteness after
         parsing every line."""
         same_outcome_as_reference(text, chunk_bytes)
 
@@ -328,7 +330,7 @@ class TestMatchesTextReference:
             "label only": "z",
         }.get(bad, f"z,1,{bad},3")
         text = "\n".join(good[:550] + [bad_row] + good[550:]) + "\n"
-        # One chunk, or chunks of 100 rows with the bad row in the sixth.
+        # TEXT_CHUNK_BYTES of the default, or of 100 rows (the bad row in the sixth).
         for chunk_bytes in (gfdenoise.fileio.TEXT_CHUNK_BYTES, 100 * 8 * 3):
             got = same_outcome_as_reference(text, chunk_bytes)
             if bad == "1_0":
@@ -348,6 +350,22 @@ class TestMatchesTextReference:
         bad = data.draw(st.sampled_from([b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xed\xb2\x80"]))
         got = same_outcome_as_reference(raw[:at] + bad + raw[at:], chunk_bytes)
         assert got[0] is ParseError and "is not valid UTF-8" in got[1], got
+
+    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
+    @pytest.mark.parametrize("fault", ["b,x,2", "b,1", "b,1,2,3", "b", "b,nan,2"])
+    @pytest.mark.parametrize("byte_first", [False, True])
+    def test_a_value_fault_and_a_bad_byte_raise_in_line_order(self, fault, byte_first, chunk_bytes):
+        """The first faulty line is reported, whichever fault it holds; a
+        non-finite value only once every line is read, so the bad byte is."""
+        lines = [b"a,1,2", fault.encode(), b"c,1,\xff2", b"d,3,4"]
+        if byte_first:
+            lines[1], lines[2] = lines[2], lines[1]
+        got = same_outcome_as_reference(b"\n".join(lines) + b"\n", chunk_bytes)
+        if byte_first or fault == "b,nan,2":
+            line = 2 if byte_first else 3
+            assert got[:3] == (ParseError, f"line {line}: byte 0xff is not valid UTF-8", line)
+        else:
+            assert got[0] in (ParseError, InconsistentDimension) and got[2] == 2, got
 
     @pytest.mark.parametrize("text", [
         "a,1.0,2.0\r\nb,3.0,4.0\r\n",
@@ -383,8 +401,8 @@ class TestFeatureReader:
     @settings(max_examples=200, deadline=None)
     @given(text_files(bad_rows=False), SHARES, CHUNK_BYTES)
     def test_text_batches_concatenate_to_the_loaded_file(self, text, shares, chunk_bytes):
-        """Values only float() takes send a chunk to the per-value parser,
-        after which the next chunk and batch start where they should."""
+        """Every layout, values only float() takes included, loads batch
+        by batch as it loads whole."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.csv"
             path.write_bytes(text.encode("utf-8"))
@@ -471,21 +489,26 @@ class TestFeatureReader:
             FeatureReader("/dev/null", "text")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-    @pytest.mark.parametrize("tail", ["", "cut", "trailing"])
+    @pytest.mark.parametrize("tail", ["", "cut", "trailing", "2^61 rows"])
     def test_binary_pipe_loads_as_the_file(self, tmp_path, tail):
         """Binary is read once, so a FIFO loads as the file with its bytes
-        does, and a short or long payload fails as that file fails."""
+        does, and a short or long payload, or a header claiming far more
+        labels than follow, fails as that file fails."""
         path, fifo = tmp_path / "f.bin", tmp_path / "fifo"
         save_features_binary(path, random_dataset(np.random.default_rng(8), n=9, d=3))
         data = path.read_bytes()
-        path.write_bytes({"": data, "cut": data[:-5], "trailing": data + b"x"}[tail])
+        huge = struct.pack("<8sQQI", MAGIC, 2**61, 1, 1) + data[28:]
+        path.write_bytes(
+            {"": data, "cut": data[:-5], "trailing": data + b"x", "2^61 rows": huge}[tail]
+        )
         os.mkfifo(fifo)
         writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
         writer.start()
         try:
-            assert text_outcome(load_features_binary, fifo) == text_outcome(
-                load_features_binary, path
-            )
+            outcome = text_outcome(load_features_binary, fifo)
+            assert outcome == text_outcome(load_features_binary, path)
+            if tail == "2^61 rows":
+                assert outcome[:2] == (TruncatedFile, "label block shorter than header implies")
         finally:
             writer.join(timeout=30)
         assert not writer.is_alive()
@@ -586,6 +609,13 @@ class TestBinaryFormat:
         header += (2).to_bytes(4, "little")
         expected = header + b"abc\0" + np.array([1.5, 2.0], dtype="<f8").tobytes()
         assert path.read_bytes() == expected
+
+    def test_labels_of_zero_bytes_load_empty(self, tmp_path):
+        path = tmp_path / "w0.bin"
+        path.write_bytes(struct.pack("<8sQQI", MAGIC, 3, 2, 0) + np.arange(6.0).tobytes())
+        data = load_features_binary(path)
+        assert data.labels.tolist() == ["", "", ""] and data.labels.dtype == np.dtype("<U1")
+        assert data.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_matrices_round_trip(self, tmp_path, shape):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gfdenoise import spectral
 from gfdenoise.errors import (
     DimensionMismatch,
     InvalidRange,
@@ -291,6 +292,35 @@ class TestLanczosAgainstDense:
             assert np.max(np.abs(L @ U - U * lam)) <= 1e-9
             if k <= 2:
                 np.testing.assert_allclose(lam, [0.0, 2.0 / d][:k], rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("graph", [ring, path])
+    def test_invariant_basis_restarts_from_a_fresh_start_vector(self, monkeypatch, graph):
+        """On 41 vertices, the ring's and the path's Krylov spaces from two
+        start vectors become invariant before the basis fills, at every
+        k = 1..11: a third start vector is drawn, and the eigenpairs are
+        still the lowest."""
+        W = graph(41)
+        dense = eigendecompose(normalized_laplacian(W))
+        drawn, start_vector = [], spectral._start_vector
+
+        def spy(n, seed):
+            drawn.append(seed)
+            return start_vector(n, seed)
+
+        monkeypatch.setattr(spectral, "_start_vector", spy)
+        for k in range(1, 12):
+            drawn.clear()
+            basis = lowest_eigenpairs(CsrGraph.from_dense(W), k)
+            assert basis is not None and len(drawn) >= 3, (k, drawn)
+            lam, U = basis.eigenvalues, basis.eigenvectors
+            np.testing.assert_allclose(lam, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+            # Each eigenspace returned whole has the dense solve's projector.
+            for value in lam:
+                ours, theirs = np.abs(lam - value) < 1e-8, np.abs(dense.eigenvalues - value) < 1e-8
+                if ours.sum() == theirs.sum():
+                    P = U[:, ours] @ U[:, ours].T
+                    Q = dense.eigenvectors[:, theirs] @ dense.eigenvectors[:, theirs].T
+                    assert np.max(np.abs(P - Q)) <= 1e-10, (k, value)
 
     @settings(max_examples=25, deadline=None)
     @given(
