@@ -30,6 +30,8 @@ Binary format (all integers little-endian):
 
 The size the header implies is checked against a regular file's size
 before anything is allocated, so a corrupt header raises TruncatedFile.
+No size bounds a pipe, so its label block is read 1 MiB at a time, as is
+the feature payload before the labels when labels have 0 bytes.
 A label that is not UTF-8 raises BadLabel naming its row.
 
 Each format has one batch reader, which parses and checks a run of rows,
@@ -192,17 +194,23 @@ def _binary_header(fh) -> tuple[int, int, int]:
     return n, d, width
 
 
-def _binary_labels(fh, n: int, width: int) -> np.ndarray:
-    """The n labels of width bytes each. The block is read 1 MiB at a time,
-    so a pipe holding less than its header claims raises TruncatedFile
-    without first asking for the memory claimed."""
+def _binary_block(fh, size: int, what: str) -> bytearray:
+    """The next size bytes of fh, read 1 MiB at a time, so that a pipe
+    holding less than its header claims raises TruncatedFile without first
+    asking for the memory claimed."""
     block = bytearray()
-    while len(block) < n * width:
-        if not (piece := fh.read(min(1 << 20, n * width - len(block)))):
-            raise TruncatedFile("label block shorter than header implies")
+    while len(block) < size:
+        if not (piece := fh.read(min(1 << 20, size - len(block)))):
+            raise TruncatedFile(f"{what} shorter than header implies")
         block += piece
+    return block
+
+
+def _binary_labels(fh, n: int, width: int) -> np.ndarray:
+    """The n labels of width bytes each."""
     if not width:
         return np.full(n, "")
+    block = _binary_block(fh, n * width, "label block")
     return np.asarray([_binary_label(block[i * width : (i + 1) * width], i) for i in range(n)])
 
 
@@ -212,16 +220,6 @@ def _binary_label(record: bytes, row: int) -> str:
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise BadLabel(row, f"row {row}: label byte 0x{byte:02x} is not valid UTF-8") from None
-
-
-def _binary_rows(fh, rows: int, d: int, first_row: int = 0) -> np.ndarray:
-    """The binary batch reader: the next rows x d features, read straight
-    into the array returned; rows are numbered from first_row."""
-    features = np.empty((rows, d), dtype="<f8")
-    if fh.readinto(features) < features.nbytes:
-        raise TruncatedFile("feature payload shorter than header implies")
-    _check_finite(features, first_row)
-    return features
 
 
 def load_features_binary(path) -> LabeledFeatures:
@@ -246,6 +244,12 @@ class FeatureReader:
         try:
             if fmt == "bin":
                 n, self.d, width = _binary_header(self._fh)
+                self._payload = None
+                if not width:
+                    # Labels of 0 bytes are all "", so the rows are one batch,
+                    # read first: a pipe's bytes, not its header, bound n.
+                    block = _binary_block(self._fh, 8 * n * self.d, "feature payload")
+                    self._payload = np.frombuffer(block, "<f8").reshape(n, self.d)
                 self.labels = _binary_labels(self._fh, n, width)
             else:
                 if not stat.S_ISREG(os.fstat(self._fh.fileno()).st_mode):
@@ -273,10 +277,14 @@ class FeatureReader:
         start = 0
         if self._fmt == "bin":
             for end in ends:
-                batch = LabeledFeatures(
-                    features=_binary_rows(self._fh, end - start, self.d, start),
-                    labels=self.labels[start:end],
-                )
+                if self._payload is None:
+                    features = np.empty((end - start, self.d), dtype="<f8")
+                    if self._fh.readinto(features) < features.nbytes:
+                        raise TruncatedFile("feature payload shorter than header implies")
+                else:
+                    features = self._payload[start:end]
+                _check_finite(features, start)
+                batch = LabeledFeatures(features=features, labels=self.labels[start:end])
                 yield batch, (lambda i, start=start: f"row {start + i}")
                 del batch
                 start = end

@@ -27,7 +27,8 @@ from .errors import InvalidK, InvalidSize, ZeroVector
 RESTORED_EDGE_WEIGHT = 1e-6
 # knn_graph_csr computes as many rows of similarities at a time as fit in
 # this many bytes (at least one row): 327 rows of a 1,600-row class, 26 rows
-# of a 20,000-row class. The working set of a block is about three times this.
+# of a 20,000-row class. A block's working set is about 2.2 times this: the
+# similarities and _top_k's ranking copy, both reused, and the kept mask.
 GRAPH_BLOCK_BYTES = 4 * 2**20
 
 
@@ -62,9 +63,10 @@ def cosine_similarity(F: np.ndarray) -> np.ndarray:
     return S
 
 
-def _top_k(S: np.ndarray, k: int, first: int = 0) -> np.ndarray:
+def _top_k(S: np.ndarray, k: int, first: int, ranked: np.ndarray) -> np.ndarray:
     """Mask of the k largest entries of each row of S (..., r, n), where row
-    i is vertex first + i and its own column never counts.
+    i is vertex first + i and its own column never counts; ranked, of S's
+    shape, is overwritten as scratch.
 
     Row i keeps every entry above its k-th largest value t_i and, of the
     entries equal to t_i, the lowest-column ones up to k. This is the one
@@ -73,11 +75,10 @@ def _top_k(S: np.ndarray, k: int, first: int = 0) -> np.ndarray:
     n = S.shape[-1]
     rows = np.arange(S.shape[-2])
     own = (..., rows, first + rows)
-    ranked = S.copy()
+    ranked[...] = S
     ranked[own] = -np.inf
     ranked.partition(n - k, axis=-1)
-    threshold = ranked[..., n - k, None].copy()
-    del ranked
+    threshold = ranked[..., n - k, None]
     keep = S >= threshold
     keep[own] = False
     surplus = keep.sum(axis=-1) > k
@@ -108,7 +109,7 @@ def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
         W = S.copy()
         set_diagonal(W, 0.0)
         return W
-    keep = _top_k(S, k)
+    keep = _top_k(S, k, 0, np.empty_like(S))
     keep |= keep.swapaxes(-1, -2)
     return np.where(keep, S, 0.0)
 
@@ -184,14 +185,16 @@ def knn_graph_csr(F: np.ndarray, k: int) -> CsrGraph:
     m = unit.shape[0]
     _check_k(k, m)
     step = max(1, GRAPH_BLOCK_BYTES // (8 * m))
+    block, ranked = np.empty((2, min(step, m), m))  # reused by every block
     rows, cols, vals = [], [], []
     for first in range(0, m, step):
-        S = unit[first:first + step] @ unit.T
+        S = np.matmul(unit[first:first + step], unit.T, out=block[:m - first])
         np.clip(S, -1.0, 1.0, out=S)
-        kept = np.flatnonzero(_top_k(S, k, first))
+        kept = np.flatnonzero(_top_k(S, k, first, ranked[:m - first]))
         rows.append(kept // m + first)
         cols.append(kept % m)
         vals.append(S.ravel()[kept])
+    del S, block, ranked
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     # Kept entries come in row order, so each pair's first is its
     # lower-indexed row's when that row kept it.

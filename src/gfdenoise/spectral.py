@@ -228,9 +228,9 @@ def _thick_restart_lanczos(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarr
         # they span an invariant subspace, and the run goes on from the
         # next start vector, as ARPACK's does.
         w, _, before = _project_out(V[:at], v)
-        while _in_span(w, before):
+        while _in_span(norm := np.linalg.norm(w), before):
             w, _, before = _project_out(V[:at], _start_vector(n, next(seeds)))
-        V[at] = w / np.linalg.norm(w)
+        V[at] = w / norm
 
     for j in range(b):
         set_row(j, _start_vector(n, next(seeds)))
@@ -248,23 +248,27 @@ def _thick_restart_lanczos(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarr
             H += again
             for r, x in enumerate(X):
                 top = min(j + r + b, ncv)
-                x, h, _ = _project_out(V[size:top], x)
-                h = np.concatenate([H[r], h])
+                h = H[r]
+                if top > size:  # rows made from this block's earlier images
+                    x, more, _ = _project_out(V[size:top], x)
+                    h = np.concatenate([h, more])
+                norm = np.linalg.norm(x)
                 spanned = False
-                if _in_span(x, np.linalg.norm(first[r])):
+                if _in_span(norm, np.linalg.norm(first[r])):
                     # What is left may still hold round-off in the basis's
                     # span: project it off the whole basis again and judge
                     # from that, as ARPACK refines.
                     x, again, before = _project_out(V[:top], x)
-                    h += again
-                    spanned = _in_span(x, before)
+                    h = h + again
+                    norm = np.linalg.norm(x)
+                    spanned = _in_span(norm, before)
                 T[j + r, :top] = T[:top, j + r] = h
                 if top == ncv:
                     R[j + r + b - ncv] = x
                 elif spanned:
                     set_row(top, _start_vector(n, next(seeds)))
                 else:
-                    V[top] = x / np.linalg.norm(x)
+                    V[top] = x / norm
         theta, S = np.linalg.eigh(T)
         residual = np.linalg.norm(R.T @ S[-b:, -k:], axis=0)
         if np.all(residual <= eps):
@@ -288,11 +292,11 @@ def _project_out(V: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return w - again @ V, h + again, before
 
 
-def _in_span(w: np.ndarray, before: float) -> bool:
-    """Whether w, projected twice off an orthonormal basis, lay in its span
-    up to round-off, as ARPACK judges it: when the second projection took
-    away much of what the first left, whose norm is `before`."""
-    return not np.linalg.norm(w) > 0.717 * before
+def _in_span(norm: float, before: float) -> bool:
+    """Whether a vector, projected twice off an orthonormal basis to this
+    norm, lay in its span up to round-off, as ARPACK judges it: when the
+    second projection took away much of what the first left (`before`)."""
+    return not norm > 0.717 * before
 
 
 def gft(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:

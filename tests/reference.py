@@ -1,7 +1,9 @@
 """References the stacked code is compared against: the label-level
-classifier dispatch that classify.predict replaced, the per-episode loop
-that defines paired_accuracies, the per-trial loop that defines
-monte_carlo_centroid_stats, and the outcome of a call, errors included."""
+classifier dispatch that classify.predict replaced, the distance formulas
+and query blocks of its 1-NN as they were before being computed in place,
+the per-episode loop that defines paired_accuracies, the per-trial loop
+that defines monte_carlo_centroid_stats, and the outcome of a call, errors
+included."""
 
 import numpy as np
 
@@ -20,6 +22,38 @@ def classify_labels(support, query, cfg):
     if cfg.kind == "ncm":
         return ncm_predict(ncm_fit(support, cfg.metric), query)
     return nn1_predict(support, query, cfg.metric)
+
+
+def distance_formula(A, B, metric):
+    """classify.pairwise_distances as one expression per metric, each
+    evaluated into fresh arrays: the formulas that the in-place block
+    kernel reproduces bit for bit."""
+    if metric == "euclidean":
+        sq = (
+            np.sum(A * A, axis=-1)[..., :, None]
+            + np.sum(B * B, axis=-1)[..., None, :]
+            - 2.0 * (A @ B.swapaxes(-1, -2))
+        )
+        return np.sqrt(np.clip(sq, 0.0, None))
+    return 1.0 - _unit_rows(A) @ _unit_rows(B).swapaxes(-1, -2)
+
+
+def _unit_rows(A):
+    norms = np.linalg.norm(A, axis=-1)
+    return A / np.where(norms == 0.0, 1.0, norms)[..., None]
+
+
+def nearest_rows(query, support, metric, step):
+    """Each query row's nearest support row, the lowest on ties, by
+    distance_formula of each block of step query rows against the whole
+    support."""
+    return np.concatenate(
+        [
+            np.argmin(distance_formula(query[..., i:i + step, :], support, metric), axis=-1)
+            for i in range(0, max(query.shape[-2], 1), step)
+        ],
+        axis=-1,
+    )
 
 
 def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, seed):

@@ -1,8 +1,10 @@
 """NCM and 1-NN classifier tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from reference import classify_labels
+from reference import classify_labels, distance_formula, nearest_rows
 
 from gfdenoise import classify
 from gfdenoise.classify import ClassifierConfig, ncm_fit, ncm_predict, nn1_predict, predict
@@ -222,14 +224,15 @@ class TestPredict:
         cfg = ClassifierConfig("nn1", metric)
         one_block = predict(support, class_rows, query, cfg)
         budget = 8 * 2 * 3 * 40 * 20
-        blocks, distances = [], classify.pairwise_distances
+        blocks, distance_blocks = [], classify._distance_blocks
 
-        def spy(A, B, metric):
-            blocks.append(block := distances(A, B, metric))
-            return block
+        def spy(*args):
+            for block in distance_blocks(*args):
+                blocks.append(block)
+                yield block
 
         monkeypatch.setattr(classify, "DISTANCE_BLOCK_BYTES", budget)
-        monkeypatch.setattr(classify, "pairwise_distances", spy)
+        monkeypatch.setattr(classify, "_distance_blocks", spy)
         blocked = predict(support, class_rows, query, cfg)
         assert np.array_equal(blocked, one_block)
         assert [b.shape for b in blocks] == [(2, 3, 20, 40), (2, 3, 20, 40), (2, 3, 10, 40)]
@@ -249,3 +252,86 @@ class TestPredict:
             predict(np.empty((0, 2)), [], np.zeros((1, 2)), cfg)
         with pytest.raises(EmptyClass):
             classify_episode(LabeledFeatures(np.empty((0, 2)), []), np.zeros((1, 2)), cfg)
+
+
+class TestDistanceKernel:
+    """pairwise_distances and predict's 1-NN, which compute their distances
+    in place a block of query rows at a time, against the formulas of
+    reference.distance_formula evaluated into fresh arrays, bit for bit."""
+
+    STEP = 5  # query rows per block under the patched budget
+
+    @staticmethod
+    def case(stacked, q):
+        """A (2, 3, 12, 6) or (12, 6) support of rows at three scales, with
+        a zero-norm row and three equal rows (3, 7, 10, of three classes),
+        and a query of q rows sharing its last stack axis, of which every
+        third equals row 3 and the next is zero."""
+        rng = np.random.default_rng(40 + q + 2 * stacked)
+        lead = (2, 3) if stacked else ()
+        support = rng.standard_normal(lead + (12, 6))
+        support *= rng.choice([1e-3, 1.0, 1e3], lead + (12, 1))
+        support[..., 1, :] = 0.0
+        support[..., [7, 10], :] = support[..., [3], :]
+        query = rng.standard_normal(lead[1:] + (q, 6))
+        row3 = support[..., 3:4, :]
+        query[..., ::3, :] = row3[0] if stacked else row3
+        query[..., 1::3, :] = 0.0
+        return support, query
+
+    @pytest.mark.parametrize("q", [1, STEP, STEP + 1])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_pairwise_distances_equal_the_formulas(self, metric, stacked, q):
+        support, query = self.case(stacked, q)
+        for A, B in [(query, support), (support, support), (support, query)]:
+            got = classify.pairwise_distances(A, B, metric)
+            expected = distance_formula(A, B, metric)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("q", [1, STEP, STEP + 1])
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_nn1_blocks_equal_the_formulas(self, monkeypatch, metric, stacked, q):
+        support, query = self.case(stacked, q)
+        class_rows = [slice(0, 4), slice(4, 9), np.arange(9, 12)]
+        stack = support.shape[:-2]
+        budget = 8 * 12 * int(np.prod(stack)) * self.STEP
+        blocks, distance_blocks = [], classify._distance_blocks
+
+        def spy(*args):
+            for block in distance_blocks(*args):
+                blocks.append(block.copy())  # the next block overwrites it
+                yield block
+
+        monkeypatch.setattr(classify, "DISTANCE_BLOCK_BYTES", budget)
+        monkeypatch.setattr(classify, "_distance_blocks", spy)
+        got = predict(support, class_rows, query, ClassifierConfig("nn1", metric))
+        starts = range(0, q, self.STEP)
+        assert len(blocks) == len(starts)
+        for i, block in zip(starts, blocks):
+            expected = distance_formula(query[..., i:i + self.STEP, :], support, metric)
+            assert block.tobytes() == expected.tobytes()
+        owner = np.repeat([0, 1, 2], [4, 5, 3])
+        expected = owner[nearest_rows(query, support, metric, self.STEP)]
+        assert got.tobytes() == expected.tobytes()
+        first_arm = got[0] if stacked else got  # the arm whose row 3 the query repeats
+        assert np.all(first_arm[..., ::3] == 0)  # row 3 wins the three-way tie
+
+    def test_nn1_peak_is_two_distance_blocks(self):
+        """The euclidean 1-NN holds two buffers of one block of distances
+        beside the norms; evaluating the formula into fresh arrays held
+        three blocks at once."""
+        rng = np.random.default_rng(5)
+        support = rng.standard_normal((3200, 128))
+        query = rng.standard_normal((800, 128))
+        cfg = ClassifierConfig("nn1", "euclidean")
+        tracemalloc.start()
+        try:
+            predict(support, [slice(0, 1600), slice(1600, 3200)], query, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        norms = 8 * (3200 + 800)
+        assert peak <= 2 * classify.DISTANCE_BLOCK_BYTES + norms

@@ -569,6 +569,47 @@ class TestCliPipedBinaryHeader:
         )
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("n", [2**48, 2**61])
+    @pytest.mark.parametrize("mode", ["denoise", "eval-standard"])
+    def test_zero_width_labels_are_a_typed_error(self, tmp_path, mode, n):
+        """Labels of 0 bytes are made only once the rows are read, so the
+        short payload is the error, not the n labels claimed."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gfdenoise.cli", mode, "--format", "bin", "--in", "/dev/stdin",
+             "--out", str(tmp_path / "out")],
+            input=struct.pack("<8sQQI", b"GFDENSE1", n, 1, 0), env=env, capture_output=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, "gfdenoise: error: feature payload shorter than header implies\n"
+        )
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("mode", ["denoise", "eval-standard"])
+    def test_zero_width_labels_pipe_runs_as_the_file(self, tmp_path, mode):
+        src = tmp_path / "in.bin"
+        rows = np.array([[1.0, 2.0], [2.0, 1.5], [0.5, 3.0]])
+        src.write_bytes(struct.pack("<8sQQI", b"GFDENSE1", 3, 2, 0) + rows.tobytes())
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gfdenoise.__file__)))
+        outcomes = []
+        for path, stdin in ((src, None), ("/dev/stdin", src.read_bytes())):
+            out = tmp_path / f"{len(outcomes)}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gfdenoise.cli", mode, "--format", "bin",
+                 "--in", str(path), "--out", str(out)],
+                input=stdin, env=env, capture_output=True, timeout=120,
+            )
+            written = out.read_bytes()
+            if mode == "eval-standard":
+                written = json.loads(written)
+                del written["config"]["io"]
+            outcomes.append((proc.returncode, proc.stderr, written))
+        assert outcomes[0][:2] == (0, b"")
+        assert outcomes[1] == outcomes[0]
+
 # Labels of rows in the layouts the streamed denoise must keep apart.
 def _grouped(n_classes, rows):
     return [f"g{c}" for c in range(n_classes) for _ in range(rows)]

@@ -8,7 +8,6 @@ import threading
 import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,22 +188,15 @@ def text_outcome(load, path, *args):
     return data.features.shape, data.features.tobytes(), data.labels.tolist()
 
 
-def same_outcome_as_reference(text, chunk_bytes=gfdenoise.fileio.TEXT_CHUNK_BYTES):
+def same_outcome_as_reference(text):
     """The outcome of loading text (or bytes), which must be the
-    reference's, with TEXT_CHUNK_BYTES set to chunk_bytes."""
+    reference's."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        with mock.patch.object(gfdenoise.fileio, "TEXT_CHUNK_BYTES", chunk_bytes):
-            got = text_outcome(load_features_text, path)
+        got = text_outcome(load_features_text, path)
         assert got == text_outcome(load_text_per_line, path)
     return got
-
-
-# TEXT_CHUNK_BYTES of 1 to 8 rows of the files drawn below, and the default,
-# none of which may change what the reader returns.
-CHUNK_SIZES = [8, 24, 64, gfdenoise.fileio.TEXT_CHUNK_BYTES]
-CHUNK_BYTES = st.sampled_from(CHUNK_SIZES)
 
 
 EDGE_FLOATS = [
@@ -301,18 +293,18 @@ class TestMatchesTextReference:
         assert "1.7976931348623157e+308" in text
 
     @settings(max_examples=200, deadline=None)
-    @given(text_files(bad_rows=False), CHUNK_BYTES)
-    def test_valid_layouts_load_identically(self, text, chunk_bytes):
-        got = same_outcome_as_reference(text, chunk_bytes)
+    @given(text_files(bad_rows=False))
+    def test_valid_layouts_load_identically(self, text):
+        got = same_outcome_as_reference(text)
         assert not isinstance(got[0], type), got
 
     @settings(max_examples=250, deadline=None)
-    @given(text_files(bad_rows=True), CHUNK_BYTES)
-    def test_malformed_files_raise_identically(self, text, chunk_bytes):
+    @given(text_files(bad_rows=True))
+    def test_malformed_files_raise_identically(self, text):
         """A non-finite value on an early line is reported only once the
         later lines parse, as the reference checks finiteness after
         parsing every line."""
-        same_outcome_as_reference(text, chunk_bytes)
+        same_outcome_as_reference(text)
 
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet="0123456789.,-+eE#anif _\t\r\n\x1c\xa0１", max_size=40))
@@ -330,37 +322,34 @@ class TestMatchesTextReference:
             "label only": "z",
         }.get(bad, f"z,1,{bad},3")
         text = "\n".join(good[:550] + [bad_row] + good[550:]) + "\n"
-        # TEXT_CHUNK_BYTES of the default, or of 100 rows (the bad row in the sixth).
-        for chunk_bytes in (gfdenoise.fileio.TEXT_CHUNK_BYTES, 100 * 8 * 3):
-            got = same_outcome_as_reference(text, chunk_bytes)
-            if bad == "1_0":
-                assert got[0] == (601, 3)
-            else:
-                assert got[0] in (ParseError, InconsistentDimension, NonFiniteValue)
-                assert got[2] == 551
+        got = same_outcome_as_reference(text)
+        if bad == "1_0":
+            assert got[0] == (601, 3)
+        else:
+            assert got[0] in (ParseError, InconsistentDimension, NonFiniteValue)
+            assert got[2] == 551
 
     @settings(max_examples=200, deadline=None)
-    @given(text_files(bad_rows=False), st.data(), CHUNK_BYTES)
-    def test_a_byte_that_is_not_utf8_raises_as_the_reference(self, text, data, chunk_bytes):
+    @given(text_files(bad_rows=False), st.data())
+    def test_a_byte_that_is_not_utf8_raises_as_the_reference(self, text, data):
         """Bytes that are not UTF-8, put anywhere in a valid file (inside a
         label, a value, a comment or a multi-byte character), raise the
         ParseError naming the first line that holds one."""
         raw = text.encode("utf-8")
         at = data.draw(st.integers(0, len(raw)))
         bad = data.draw(st.sampled_from([b"\xe9", b"\xff", b"\x80", b"\xc3", b"\xed\xb2\x80"]))
-        got = same_outcome_as_reference(raw[:at] + bad + raw[at:], chunk_bytes)
+        got = same_outcome_as_reference(raw[:at] + bad + raw[at:])
         assert got[0] is ParseError and "is not valid UTF-8" in got[1], got
 
-    @pytest.mark.parametrize("chunk_bytes", CHUNK_SIZES)
     @pytest.mark.parametrize("fault", ["b,x,2", "b,1", "b,1,2,3", "b", "b,nan,2"])
     @pytest.mark.parametrize("byte_first", [False, True])
-    def test_a_value_fault_and_a_bad_byte_raise_in_line_order(self, fault, byte_first, chunk_bytes):
+    def test_a_value_fault_and_a_bad_byte_raise_in_line_order(self, fault, byte_first):
         """The first faulty line is reported, whichever fault it holds; a
         non-finite value only once every line is read, so the bad byte is."""
         lines = [b"a,1,2", fault.encode(), b"c,1,\xff2", b"d,3,4"]
         if byte_first:
             lines[1], lines[2] = lines[2], lines[1]
-        got = same_outcome_as_reference(b"\n".join(lines) + b"\n", chunk_bytes)
+        got = same_outcome_as_reference(b"\n".join(lines) + b"\n")
         if byte_first or fault == "b,nan,2":
             line = 2 if byte_first else 3
             assert got[:3] == (ParseError, f"line {line}: byte 0xff is not valid UTF-8", line)
@@ -399,15 +388,14 @@ class TestFeatureReader:
     """Reading a file a batch at a time gives what loading it whole gives."""
 
     @settings(max_examples=200, deadline=None)
-    @given(text_files(bad_rows=False), SHARES, CHUNK_BYTES)
-    def test_text_batches_concatenate_to_the_loaded_file(self, text, shares, chunk_bytes):
+    @given(text_files(bad_rows=False), SHARES)
+    def test_text_batches_concatenate_to_the_loaded_file(self, text, shares):
         """Every layout, values only float() takes included, loads batch
         by batch as it loads whole."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.csv"
             path.write_bytes(text.encode("utf-8"))
-            with mock.patch.object(gfdenoise.fileio, "TEXT_CHUNK_BYTES", chunk_bytes):
-                streamed = streamed_outcome(path, "text", shares)
+            streamed = streamed_outcome(path, "text", shares)
             assert streamed == text_outcome(load_features_text, path)
 
     @settings(max_examples=200, deadline=None)
@@ -509,6 +497,31 @@ class TestFeatureReader:
             assert outcome == text_outcome(load_features_binary, path)
             if tail == "2^61 rows":
                 assert outcome[:2] == (TruncatedFile, "label block shorter than header implies")
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("tail", ["", "cut", "trailing", "2^48 rows", "2^61 rows"])
+    def test_zero_width_labels_pipe_loads_as_the_file(self, tmp_path, tail):
+        """With labels of 0 bytes the payload is read before the labels are
+        made, so a FIFO still loads as the file with its bytes does, and a
+        header claiming far more rows than follow raises TruncatedFile."""
+        path, fifo = tmp_path / "f.bin", tmp_path / "fifo"
+        payload = np.arange(1.0, 7.0).tobytes()
+        n = {"2^48 rows": 2**48, "2^61 rows": 2**61}.get(tail, 3)
+        data = struct.pack("<8sQQI", MAGIC, n, 2, 0) + payload
+        path.write_bytes({"cut": data[:-5], "trailing": data + b"x"}.get(tail, data))
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        try:
+            outcome = text_outcome(load_features_binary, fifo)
+            assert outcome == text_outcome(load_features_binary, path)
+            if not tail:
+                assert outcome == ((3, 2), payload, ["", "", ""])
+            elif tail != "trailing":
+                assert outcome[:2] == (TruncatedFile, "feature payload shorter than header implies")
         finally:
             writer.join(timeout=30)
         assert not writer.is_alive()
