@@ -13,10 +13,12 @@ CLASSIFIER_KINDS = ("ncm", "nn1")
 # predict's 1-NN takes its argmin over blocks of as many query rows as fit
 # in this many bytes of distances (at least one row), so a large query set
 # never holds its whole distance matrix: 163 rows against 3,200 support
-# rows. Every block reuses one buffer, two for euclidean: 800 x 128 queries
-# against 3,200 rows peak at 2.0 times this in traced memory (3.0 with a
-# fresh array per operation). A few-shot chunk (episodes.EPISODE_CHUNK_BYTES)
-# of default shape fits in one block.
+# rows. Every block reuses one buffer; euclidean also reuses a scratch of a
+# quarter of a block's rows (rounded up) for the norms' sum, so 800 x 128
+# queries against 3,200 rows peak at 1.25 times this in traced memory
+# beside the norms (2.0 with a whole second block, 3.0 with a fresh array
+# per operation). A few-shot chunk (episodes.EPISODE_CHUNK_BYTES) of
+# default shape fits in one block.
 DISTANCE_BLOCK_BYTES = 4 * 2**20
 
 
@@ -64,7 +66,8 @@ def _distance_blocks(A: np.ndarray, B: np.ndarray, metric: str, block_bytes: int
     distances fit in block_bytes (at least one row; None: all rows), each
     written over the last. The squared norms (euclidean) or unit rows
     (cosine) of A and B are computed once, and each block takes the
-    formula's operations in its order, in place in one buffer, or two."""
+    formula's operations in its order, in place in one buffer; euclidean
+    adds a + b into a scratch of a quarter of its rows at a time."""
     if A.shape[-1] != B.shape[-1]:
         raise DimensionMismatch(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
     if metric == "euclidean":
@@ -76,17 +79,21 @@ def _distance_blocks(A: np.ndarray, B: np.ndarray, metric: str, block_bytes: int
     (q, n), stack = (A.shape[-2], B.shape[-2]), np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     step = max(1, q if block_bytes is None else block_bytes // max(8 * n * math.prod(stack), 1))
     out = np.empty(stack + (min(step, q), n), np.result_type(A, B, 1.0))
-    work = np.empty_like(out) if metric == "euclidean" else None
+    sub = -(-step // 4)  # euclidean: a + b is added a quarter of a block at a time
+    work = np.empty(stack + (min(sub, q), n), out.dtype) if metric == "euclidean" else None
     for i in range(0, max(q, 1), step):
         rows = (..., slice(i, i + step), slice(None))
         D = out[..., : q - i, :]  # all of out but in a short last block
         if work is None:
             np.subtract(1.0, np.matmul(a[rows], b.swapaxes(-1, -2), out=D), out=D)
         else:
-            np.add(a[rows], b.swapaxes(-1, -2), out=D)
-            G = np.matmul(A[rows], B.swapaxes(-1, -2), out=work[..., : q - i, :])
-            G *= 2.0
-            D -= G
+            np.matmul(A[rows], B.swapaxes(-1, -2), out=D)
+            D *= 2.0
+            for j in range(0, D.shape[-2], sub):
+                Dj = D[..., j:j + sub, :]
+                ab = work[..., : Dj.shape[-2], :]
+                np.add(a[rows][..., j:j + sub, :], b.swapaxes(-1, -2), out=ab)
+                np.subtract(ab, Dj, out=Dj)
             np.sqrt(np.clip(D, 0.0, None, out=D), out=D)
         yield D
 

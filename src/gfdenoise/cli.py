@@ -175,11 +175,15 @@ def _cmd_eval_standard(cfg: RunConfig, out: str | None) -> dict:
             else "no test rows: the 80/20 split takes them only from classes of 3 or more rows"
         )
     del data  # a split copies its rows, so the pool is freed before the 1-NN peak
-    filtered_train = denoise_dataset(train, cfg.denoise, row_name="train row {}".format)
-    acc_raw, acc_filt = (
-        float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))
-        for rows in (train, filtered_train)
-    )
+
+    def accuracy(rows):
+        return float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))
+
+    # The raw arm goes first, so the train rows are then filtered in place.
+    acc_raw = accuracy(train)
+    acc_filt = accuracy(denoise_dataset(
+        train, cfg.denoise, out=train.features, row_name="train row {}".format
+    ))
     return {
         "train_rows": train.n,
         "test_rows": test.n,

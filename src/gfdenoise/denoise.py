@@ -42,7 +42,14 @@ GRAPH_KINDS = ("knn", "complete")
 # m = 1,600..2,400; at k2 = m/10 it was 0.6-1.1x as fast, and at k2 = m/4
 # 2-3.5x slower. The bounds were chosen when the solver was ARPACK, which
 # was 1.5-2.5x faster than eigh at k2 = m/16 from m = 384. Either way, the
-# Lanczos path holds no m x m array.
+# Lanczos path holds no m x m array. The bound stays at 512 for the numpy
+# solver: at k2 = m/16, k1 = k2/2, the whole denoise_class took, Lanczos
+# against dense, 42 against 31 ms at m = 384, 45-63 against 54-61 ms at
+# m = 512 and 89-120 against 118-150 ms at m = 800, with traced peaks of
+# 2.7/4.5, 3.8/8.0 and 6.1/19.6 MiB. So 512 is about where Lanczos stops
+# being slower, and it holds half the memory there; a higher bound would
+# make classes of 512-800 rows slower and larger, and would move their
+# output in the last bits (up to 8e-14 here).
 LANCZOS_MIN_ROWS = 512
 LANCZOS_ROWS_PER_PAIR = 16
 

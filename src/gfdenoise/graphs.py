@@ -27,8 +27,10 @@ from .errors import InvalidK, InvalidSize, ZeroVector
 RESTORED_EDGE_WEIGHT = 1e-6
 # knn_graph_csr computes as many rows of similarities at a time as fit in
 # this many bytes (at least one row): 327 rows of a 1,600-row class, 26 rows
-# of a 20,000-row class. A block's working set is about 2.2 times this: the
-# similarities and _top_k's ranking copy, both reused, and the kept mask.
+# of a 20,000-row class. _top_k ranks a quarter of a block's rows at a time
+# (rounded up), so a block's working set is about 1.3 times this: the
+# similarities, and _top_k's ranking copy and kept mask of a quarter block;
+# the similarities and the ranking copy are reused by every block.
 GRAPH_BLOCK_BYTES = 4 * 2**20
 
 
@@ -185,16 +187,19 @@ def knn_graph_csr(F: np.ndarray, k: int) -> CsrGraph:
     m = unit.shape[0]
     _check_k(k, m)
     step = max(1, GRAPH_BLOCK_BYTES // (8 * m))
-    block, ranked = np.empty((2, min(step, m), m))  # reused by every block
+    sub = -(-step // 4)  # _top_k ranks a quarter of a block's rows at a time
+    block, ranked = np.empty((min(step, m), m)), np.empty((min(sub, m), m))  # reused
     rows, cols, vals = [], [], []
     for first in range(0, m, step):
         S = np.matmul(unit[first:first + step], unit.T, out=block[:m - first])
         np.clip(S, -1.0, 1.0, out=S)
-        kept = np.flatnonzero(_top_k(S, k, first, ranked[:m - first]))
-        rows.append(kept // m + first)
-        cols.append(kept % m)
-        vals.append(S.ravel()[kept])
-    del S, block, ranked
+        for j in range(0, len(S), sub):
+            T = S[j:j + sub]
+            kept = np.flatnonzero(_top_k(T, k, first + j, ranked[:len(T)]))
+            rows.append(kept // m + first + j)
+            cols.append(kept % m)
+            vals.append(T.ravel()[kept])
+    del S, T, block, ranked
     rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
     # Kept entries come in row order, so each pair's first is its
     # lower-indexed row's when that row kept it.

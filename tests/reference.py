@@ -2,17 +2,19 @@
 classifier dispatch that classify.predict replaced, the distance formulas
 and query blocks of its 1-NN as they were before being computed in place,
 the per-episode loop that defines paired_accuracies, the per-trial loop
-that defines monte_carlo_centroid_stats, and the outcome of a call, errors
-included."""
+that defines monte_carlo_centroid_stats, eval-standard with its train rows
+filtered into a fresh array, and the outcome of a call, errors included."""
 
 import numpy as np
 
 from gfdenoise.centroids import CentroidStats
 from gfdenoise.classify import ncm_fit, ncm_predict, nn1_predict
-from gfdenoise.data import LabeledFeatures, class_index_map
+from gfdenoise.cli import _load_pool
+from gfdenoise.data import LabeledFeatures, class_index_map, stratified_split
 from gfdenoise.denoise import DenoiseConfig, denoise_class, denoise_dataset
-from gfdenoise.episodes import _draw_rows, sample_episode
+from gfdenoise.episodes import _draw_rows, classify_episode, sample_episode
 from gfdenoise.errors import GfdError
+from gfdenoise.fileio import load_features
 
 
 def classify_labels(support, query, cfg):
@@ -80,6 +82,30 @@ def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, 
         acc_raw[i] = np.mean(pred_raw == truth)
         acc_filt[i] = np.mean(pred_filt == truth)
     return acc_raw, acc_filt
+
+
+def eval_standard_into_a_fresh_array(cfg, out):
+    """The eval-standard mode, for a config whose split has test rows, in
+    the order that holds a second copy of the train rows: denoise_dataset
+    filters them into a fresh array, then both arms are classified. Its
+    report, and any filtering error, are those the mode must give."""
+    data = _load_pool(cfg)
+    if cfg.test_path is not None:
+        train, test = data, load_features(cfg.test_path, cfg.fmt)
+    else:
+        train, test = stratified_split(data, test_fraction=0.2, seed=cfg.seed)
+    filtered = denoise_dataset(train, cfg.denoise, row_name="train row {}".format)
+    acc_raw, acc_filt = (
+        float(np.mean(classify_episode(rows, test.features, cfg.classifier) == test.labels))
+        for rows in (train, filtered)
+    )
+    return {
+        "train_rows": train.n,
+        "test_rows": test.n,
+        "without_filter": {"accuracy": acc_raw},
+        "with_filter": {"accuracy": acc_filt},
+        "delta": acc_filt - acc_raw,
+    }
 
 
 def draw_gaussian_class(spec, rng):

@@ -319,10 +319,32 @@ class TestDistanceKernel:
         first_arm = got[0] if stacked else got  # the arm whose row 3 the query repeats
         assert np.all(first_arm[..., ::3] == 0)  # row 3 wins the three-way tie
 
-    def test_nn1_peak_is_two_distance_blocks(self):
-        """The euclidean 1-NN holds two buffers of one block of distances
-        beside the norms; evaluating the formula into fresh arrays held
-        three blocks at once."""
+    @pytest.mark.parametrize("step", [6, 7, 10])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_sub_blocks_equal_the_formulas(self, monkeypatch, stacked, step):
+        """The euclidean kernel adds the norms a quarter of a block's rows at
+        a time (rounded up: 2, 2 and 3 rows here). Blocks of 7 and 10 rows,
+        and the short last blocks of 11 query rows, end in a shorter
+        sub-block; the distances are still the formula's, bit for bit."""
+        support, query = self.case(stacked, 11)
+        budget = 8 * 12 * int(np.prod(support.shape[:-2])) * step
+        blocks = [block.copy() for block in classify._distance_blocks(
+            query, support, "euclidean", budget
+        )]
+        assert [block.shape[-2] for block in blocks] == [step, 11 - step]
+        for i, block in zip((0, step), blocks):
+            expected = distance_formula(query[..., i:i + step, :], support, "euclidean")
+            assert block.tobytes() == expected.tobytes()
+        monkeypatch.setattr(classify, "DISTANCE_BLOCK_BYTES", budget)
+        got = predict(support, [slice(0, 4), slice(4, 9), np.arange(9, 12)], query,
+                      ClassifierConfig("nn1", "euclidean"))
+        owner = np.repeat([0, 1, 2], [4, 5, 3])
+        assert got.tobytes() == owner[nearest_rows(query, support, "euclidean", step)].tobytes()
+
+    def test_nn1_peak_is_one_and_a_quarter_distance_blocks(self):
+        """The euclidean 1-NN holds one block of distances and a scratch of a
+        quarter of its rows beside the norms; with a second whole block it
+        held two, and evaluating the formula into fresh arrays three."""
         rng = np.random.default_rng(5)
         support = rng.standard_normal((3200, 128))
         query = rng.standard_normal((800, 128))
@@ -334,4 +356,4 @@ class TestDistanceKernel:
         finally:
             tracemalloc.stop()
         norms = 8 * (3200 + 800)
-        assert peak <= 2 * classify.DISTANCE_BLOCK_BYTES + norms
+        assert peak <= 1.25 * classify.DISTANCE_BLOCK_BYTES + norms

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import outcome, per_episode_accuracies
+from reference import eval_standard_into_a_fresh_array, outcome, per_episode_accuracies
 
 import gfdenoise
 import gfdenoise.cli
@@ -917,6 +917,74 @@ class TestCliEval:
         report = load_report(out)
         assert set(report) >= {"without_filter", "with_filter", "train_rows", "test_rows"}
         assert report["train_rows"] + report["test_rows"] == pool.n
+
+
+class TestEvalStandardFiltersInPlace:
+    """eval-standard classifies the raw arm first and then filters the train
+    rows in place. On classes that take the Lanczos path, its report, or
+    its error, is byte for byte that of filtering them into a fresh array
+    first (reference.eval_standard_into_a_fresh_array)."""
+
+    @staticmethod
+    def outcomes(tmp_path, pool, argv):
+        """(exit code, stderr, report bytes or None) of eval-standard on pool
+        with argv, in place and then into a fresh array."""
+        src, out = tmp_path / "pool.bin", tmp_path / "report.json"
+        save_features(src, pool, "bin")
+        argv = ["eval-standard", "--format", "bin", "--in", str(src), "--k1", "20",
+                "--k2", "35", "--out", str(out), *argv]
+        help_text, in_place = gfdenoise.cli._COMMANDS["eval-standard"]
+        results = []
+        for command in (in_place, eval_standard_into_a_fresh_array):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(gfdenoise.cli._COMMANDS, "eval-standard", (help_text, command))
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    code = run_cli(argv)
+            results.append((code, stderr.getvalue(), out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        return results
+
+    @pytest.mark.parametrize("test_file", [False, True], ids=["split", "io.test"])
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("kind", ["nn1", "ncm"])
+    def test_report_is_the_fresh_array_report(self, tmp_path, kind, metric, test_file):
+        argv = ["--metric", metric, "--config", str(tmp_path / "run.cfg")]
+        settings = f"classifier.kind = {kind}\n"
+        if test_file:
+            test = make_gaussian_pool(n_classes=2, per_class=150, dim=16, seed=1)
+            save_features(tmp_path / "test.bin", test, "bin")
+            settings += f"io.test = {tmp_path / 'test.bin'}\n"
+        (tmp_path / "run.cfg").write_text(settings)
+        in_place, fresh = self.outcomes(tmp_path, large_pool(), argv)
+        assert in_place == fresh
+        assert in_place[:2] == (0, "")
+        report = json.loads(in_place[2])
+        assert report["train_rows"] == (1400 if test_file else 1120)
+
+    @pytest.mark.parametrize("test_file", [False, True], ids=["split", "io.test"])
+    def test_zero_row_in_a_lanczos_size_class(self, tmp_path, test_file):
+        """The error is raised after the raw arm's 1-NN, with the message and
+        exit code of filtering first, and no report is written."""
+        pool = large_pool()
+        pool.features[[823, 850, 877, 904, 931]] = 0.0  # class c1; some land in train
+        argv = ["--metric", "euclidean"]
+        if test_file:
+            save_features(tmp_path / "test.bin", pool, "bin")
+            (tmp_path / "run.cfg").write_text(
+                f"classifier.kind = nn1\nio.test = {tmp_path / 'test.bin'}\n"
+            )
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        in_place, fresh = self.outcomes(tmp_path, pool, argv)
+        assert in_place == fresh
+        code, err, report = in_place
+        assert (code, report) == (1, None)
+        assert re.fullmatch(
+            r"gfdenoise: error: class 'c1', train row (\d+): feature row has zero norm\n", err
+        )
+        if test_file:
+            assert "train row 823:" in err
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestReportSinks:

@@ -298,6 +298,35 @@ class TestKnnGraphCsr:
         assert np.array_equal(W != 0.0, expected != 0.0)
         np.testing.assert_allclose(W, expected, rtol=0.0, atol=ULP_SLACK)
 
+    @pytest.mark.parametrize("block_rows, sub_rows", [
+        (7, [2, 2, 2, 1] * 8 + [2, 1]),
+        (10, [3, 3, 3, 1] * 5 + [3, 3, 3]),
+        (59, [15, 15, 15, 14]),
+    ])
+    def test_top_k_ranks_a_quarter_of_a_block_at_a_time(self, monkeypatch, block_rows,
+                                                        sub_rows):
+        """_top_k sees a quarter of each block's rows at a time, rounded up,
+        so blocks of 7, 10 or 59 rows, and the last block of 3 rows left by
+        blocks of 7, end in a shorter sub-block. Rows of four entries +-1
+        have exact similarities full of ties, and the graph is still the
+        dense one bit for bit."""
+        rng = np.random.default_rng(41)
+        pool = np.zeros((12, 16))
+        for row in pool:
+            row[rng.choice(16, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+        F = pool[rng.integers(0, 12, 59)] * 2.0 ** rng.integers(-3, 4, 59)[:, None]
+        seen, top_k = [], graphs._top_k
+
+        def spy(S, *args):
+            seen.append(S.shape[0])
+            return top_k(S, *args)
+
+        monkeypatch.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * 59 * block_rows)
+        monkeypatch.setattr(graphs, "_top_k", spy)
+        W = knn_graph_csr(F, 5).toarray()
+        assert seen == sub_rows
+        assert np.array_equal(W, clamp_negative_edges(knn_sparsify(cosine_similarity(F), 5)))
+
     def test_same_errors_as_dense_graph(self):
         F = np.ones((5, 3))
         F[3] = 0.0
