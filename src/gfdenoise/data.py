@@ -1,10 +1,11 @@
 """Labeled feature matrices and synthetic Gaussian pools."""
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSize
+from .errors import DimensionMismatch, InvalidSize, NonFiniteValue
 
 
 @dataclass
@@ -31,6 +32,17 @@ class LabeledFeatures:
     @property
     def d(self) -> int:
         return self.features.shape[1]
+
+
+def check_finite(features: np.ndarray, first_row: int = 0, linenos: array | None = None) -> None:
+    """Raise NonFiniteValue naming the first row holding a NaN or infinity:
+    counted from first_row, or by its line; for a (B, m, d) stack, by its
+    index within its block."""
+    # min and max are NaN or infinite exactly when some value is, and
+    # unlike np.isfinite they allocate no array the size of the input.
+    if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        row = int(np.argmin(np.isfinite(features).all(axis=-1))) % features.shape[-2]
+        raise NonFiniteValue(first_row + row, None if linenos is None else linenos[row])
 
 
 def class_index_map(labels: np.ndarray) -> dict[str, np.ndarray]:

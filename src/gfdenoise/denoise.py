@@ -20,8 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LabeledFeatures, class_index_map
-from .errors import ClassTooSmall, GfdError, InvalidK, InvalidRange, IsolatedVertex, ZeroVector
+from .data import LabeledFeatures, check_finite, class_index_map
+from .errors import (
+    ClassTooSmall,
+    GfdError,
+    InvalidK,
+    InvalidRange,
+    IsolatedVertex,
+    NonFiniteValue,
+    ZeroVector,
+)
 from .graphs import class_graph, knn_graph_csr
 from .spectral import (
     apply_filter,
@@ -115,14 +123,17 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     its deviation from it. Large kNN graphs with few passed frequencies (see
     LANCZOS_MIN_ROWS) are built sparse and solved for only the eigenpairs the
     filter passes, or fully when Lanczos declines them; every other kNN graph
-    is built dense and gets a full eigendecomposition. A stack gives what its
-    blocks give one at a time and raises exactly when some block would; the
-    caller that knows the blocks locates the error.
+    is built dense and gets a full eigendecomposition. A row holding a NaN or
+    infinity raises NonFiniteValue on every path, naming the row (within its
+    block for a stack). A stack gives what its blocks give one at a time and
+    raises exactly when some block would; the caller that knows the blocks
+    locates the error.
     """
     F_c = np.asarray(F_c, dtype=np.float64)
     m = F_c.shape[-2]
     if m < 2:
         raise ClassTooSmall(f"need >= 2 samples, got {m}")
+    check_finite(F_c)
     eff = cfg.for_class_size(m)
     if eff.k1 == m:
         return F_c.copy()
@@ -174,9 +185,10 @@ def denoise_dataset(
 
     When a class fails, a copy of its typed error is raised whose message
     names the class and, for an error at one of its rows (ZeroVector,
-    IsolatedVertex), that row as row_name(its index in data) names it; the
-    copy's `index` is that index and its `label` the class's. `out` is then left partly written: the
-    classes before it in label order are written, the rest are not.
+    IsolatedVertex, NonFiniteValue), that row as row_name(its index in data)
+    names it; the copy's `index` (`row` for NonFiniteValue) is that index and
+    its `label` the class's. `out` is then left partly written: the classes
+    before it in label order are written, the rest are not.
     """
     if out is None:
         out = np.empty_like(data.features)
@@ -187,9 +199,11 @@ def denoise_dataset(
         except GfdError as exc:
             located = copy.copy(exc)
             located.label = label
-            if isinstance(exc, (ZeroVector, IsolatedVertex)):
-                located.index = int(idx[exc.index])
-                located.args = (f"class {label!r}, {row_name(located.index)}: {exc.reason}",)
+            if isinstance(exc, (ZeroVector, IsolatedVertex, NonFiniteValue)):
+                field = "row" if isinstance(exc, NonFiniteValue) else "index"
+                row = int(idx[getattr(exc, field)])
+                setattr(located, field, row)
+                located.args = (f"class {label!r}, {row_name(row)}: {exc.reason}",)
             else:
                 located.args = (f"class {label!r}: {exc}",)
             raise located from exc

@@ -86,13 +86,15 @@ class InconsistentDimension(ParseError):
 
 
 class NonFiniteValue(GfdError):
-    """A feature file holds a NaN or infinite value."""
+    """A feature file or class holds a NaN or infinite value."""
+
+    reason = "non-finite feature value"
 
     def __init__(self, row: int, line: int | None = None):
         self.row = row
         self.line = line
         where = f"line {line}" if line is not None else f"feature row {row}"
-        super().__init__(f"{where}: non-finite feature value")
+        super().__init__(f"{where}: {self.reason}")
 
 
 class BadLabel(GfdError):

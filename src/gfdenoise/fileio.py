@@ -58,12 +58,11 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .data import LabeledFeatures
+from .data import LabeledFeatures, check_finite
 from .errors import (
     BadLabel,
     BadMagic,
     InconsistentDimension,
-    NonFiniteValue,
     NotRegularFile,
     ParseError,
     TruncatedFile,
@@ -82,16 +81,6 @@ TEXT_CHUNK_BYTES = 1 << 16
 # Text is decoded with errors="surrogateescape", which maps each byte that is
 # not UTF-8 to one of these code points; strict UTF-8 decodes to none of them.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def _check_finite(features: np.ndarray, first_row: int = 0, linenos: array | None = None) -> None:
-    """Raise NonFiniteValue naming the first row (counted from first_row),
-    or its line, holding a NaN or infinity."""
-    # min and max are NaN or infinite exactly when some value is, and
-    # unlike np.isfinite they allocate no array the size of the input.
-    if features.size and not (np.isfinite(features.min()) and np.isfinite(features.max())):
-        row = int(np.argmin(np.isfinite(features).all(axis=1)))
-        raise NonFiniteValue(first_row + row, None if linenos is None else linenos[row])
 
 
 def open_text(path):
@@ -156,7 +145,7 @@ def _read_text(records, d: int | None = None, first_row: int = 0, n_hint: int = 
         labels.append(label)
         linenos.append(lineno)
     features.resize((len(labels), d))
-    _check_finite(features, first_row, linenos)
+    check_finite(features, first_row, linenos)
     return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
 
 
@@ -283,7 +272,7 @@ class FeatureReader:
                         raise TruncatedFile("feature payload shorter than header implies")
                 else:
                     features = self._payload[start:end]
-                _check_finite(features, start)
+                check_finite(features, start)
                 batch = LabeledFeatures(features=features, labels=self.labels[start:end])
                 yield batch, (lambda i, start=start: f"row {start + i}")
                 del batch

@@ -6,15 +6,14 @@ what its block gives alone.
 
 knn_graph_csr builds the same kNN graph as class_graph for one large
 class, a block of rows at a time and straight into a CsrGraph, so no
-m x m array is held. It is that class's only graph: when Lanczos declines
-it, its toarray() is solved densely. Each block's similarities are the
-row-block product unit[I] @ unit.T, while cosine_similarity's unit @ unit.T
-is one product that numpy serves with a symmetric rank-k update (SYRK). The
-two can differ in the last bits. With numpy's OpenBLAS on a 2-vCPU x86-64 VM,
-at m = 600..2,000 and d = 8..256, they were often bit-equal; they differed
+m x m array is held. Each block's similarities are the row-block product
+unit[I] @ unit.T, while cosine_similarity's unit @ unit.T is one product
+that numpy serves with a symmetric rank-k update (SYRK). The two can
+differ in the last bits. With numpy's OpenBLAS on a 2-vCPU x86-64 VM, at
+m = 600..2,000 and d = 8..256, they were often bit-equal; they differed
 by up to 5.6e-16 for blocks of 3 to 327 rows and by up to 1.6e-15 for
-blocks of 1 or 2 rows. Only a similarity within a few ulp of its row's
-k-th largest can therefore be kept by one path and not the other.
+blocks of 1 or 2 rows. So only a similarity within a few ulp of _top_k's
+threshold can be kept by one path and not the other; ties are kept by both.
 """
 
 from dataclasses import dataclass
@@ -25,6 +24,11 @@ from .errors import InvalidK, InvalidSize, ZeroVector
 
 # Weight given back to a vertex whose every kept edge was clamped away.
 RESTORED_EDGE_WEIGHT = 1e-6
+# Similarities in one row that differ by at most this much are a tie, kept
+# or restored whole, so a graph does not depend on row order. A row's copies
+# and positive multiples differed by up to 6 ulp of 1 (d = 2..2,048), and
+# the two builders' products by up to 7 (above): neither comes near 32.
+TIE_TOL = 32 * np.finfo(np.float64).eps
 # knn_graph_csr computes as many rows of similarities at a time as fit in
 # this many bytes (at least one row): 327 rows of a 1,600-row class, 26 rows
 # of a 20,000-row class. _top_k ranks a quarter of a block's rows at a time
@@ -66,13 +70,12 @@ def cosine_similarity(F: np.ndarray) -> np.ndarray:
 
 
 def _top_k(S: np.ndarray, k: int, first: int, ranked: np.ndarray) -> np.ndarray:
-    """Mask of the k largest entries of each row of S (..., r, n), where row
-    i is vertex first + i and its own column never counts; ranked, of S's
-    shape, is overwritten as scratch.
+    """Mask of the k largest entries of each row of S (..., r, n) and their
+    ties, where row i is vertex first + i and its own column never counts;
+    ranked, of S's shape, is overwritten as scratch.
 
-    Row i keeps every entry above its k-th largest value t_i and, of the
-    entries equal to t_i, the lowest-column ones up to k. This is the one
-    selection rule of both kNN graph builders.
+    Row i keeps every entry at or above t_i - TIE_TOL, t_i its k-th largest
+    value: the one selection rule of both kNN graph builders.
     """
     n = S.shape[-1]
     rows = np.arange(S.shape[-2])
@@ -80,15 +83,8 @@ def _top_k(S: np.ndarray, k: int, first: int, ranked: np.ndarray) -> np.ndarray:
     ranked[...] = S
     ranked[own] = -np.inf
     ranked.partition(n - k, axis=-1)
-    threshold = ranked[..., n - k, None]
-    keep = S >= threshold
+    keep = S >= ranked[..., n - k, None] - TIE_TOL
     keep[own] = False
-    surplus = keep.sum(axis=-1) > k
-    if surplus.any():
-        kept = keep[surplus]
-        tied = kept & (S[surplus] == threshold[surplus])
-        room = k - kept.sum(axis=1) + tied.sum(axis=1)
-        keep[surplus] = kept & (~tied | (np.cumsum(tied, axis=1) <= room[:, None]))
     return keep
 
 
@@ -101,13 +97,16 @@ def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
     """Keep S[i, j] when it is among the k largest off-diagonal entries of
     row i or of column j (union rule, so the result stays symmetric).
 
-    Ties are broken toward lower column index. Kept entries may be
-    negative; clamp_negative_edges prepares such a matrix for Laplacian
-    construction. Off-diagonal entries must be finite.
+    An entry tied within TIE_TOL with the k-th largest of its row is kept
+    too, so the graph does not depend on the order of the rows. Kept
+    entries may be negative; clamp_negative_edges prepares such a matrix
+    for Laplacian construction. Off-diagonal entries must be finite.
     """
     S = np.asarray(S, dtype=np.float64)
     _check_k(k, S.shape[-1])
-    if k == S.shape[-1] - 1:  # every off-diagonal entry is among its row's k largest
+    # Keep everything, as _top_k would, without its mask and ranking copy
+    # (0.2 MB of fewshot's peak RSS).
+    if k == S.shape[-1] - 1:
         W = S.copy()
         set_diagonal(W, 0.0)
         return W
@@ -127,18 +126,18 @@ def complete_graph(m: int) -> np.ndarray:
 
 def clamp_negative_edges(W: np.ndarray) -> np.ndarray:
     """Clamp negative weights to 0; if that isolates a vertex, restore its
-    single largest original edge at RESTORED_EDGE_WEIGHT so degrees stay positive.
+    largest original edge and that edge's ties (TIE_TOL) at
+    RESTORED_EDGE_WEIGHT so degrees stay positive.
     """
     W = np.asarray(W, dtype=np.float64)
     clamped = np.clip(W, 0.0, None)
-    # Each row is (block index..., vertex), in the order the loop of one
-    # block would visit them.
+    # Rows are (block index..., vertex); each restores from W, in any order.
     for *block, i in np.argwhere(clamped.sum(axis=-1) == 0.0).tolist():
         row = W[(*block, i)]
-        candidates = np.flatnonzero(row != 0.0)
-        if candidates.size == 0:
+        j = np.flatnonzero(row != 0.0)
+        if j.size == 0:
             continue  # no edge at all in the pattern; Laplacian will reject
-        j = candidates[np.argmax(row[candidates])]
+        j = j[row[j] >= row[j].max() - TIE_TOL]
         clamped[(*block, i, j)] = RESTORED_EDGE_WEIGHT
         clamped[(*block, j, i)] = RESTORED_EDGE_WEIGHT
     return clamped
@@ -180,8 +179,8 @@ def knn_graph_csr(F: np.ndarray, k: int) -> CsrGraph:
     rule. A pair kept by either of its rows is an edge (union rule), weighted
     by the similarity its lower-indexed vertex's row computed when that row
     kept it, else by the other row's (see the module docstring). Negative
-    weights are then clamped and edges restored on the sparse graph as
-    clamp_negative_edges does on a dense one.
+    weights are then clamped, and edges restored with their ties, on the
+    sparse graph as clamp_negative_edges does on a dense one.
     """
     unit = _unit_rows(F)
     m = unit.shape[0]
@@ -215,10 +214,10 @@ def knn_graph_csr(F: np.ndarray, k: int) -> CsrGraph:
     for i in np.flatnonzero(np.bincount(rows, weights=clamped, minlength=m) == 0.0):
         if ptr[i] == ptr[i + 1]:
             continue  # no edge at all in the pattern; Laplacian will reject
-        at = ptr[i] + np.argmax(vals[ptr[i]:ptr[i + 1]])
-        j = cols[at]
-        back = ptr[j] + np.searchsorted(cols[ptr[j]:ptr[j + 1]], i)
-        clamped[[at, back]] = RESTORED_EDGE_WEIGHT
+        row = vals[ptr[i]:ptr[i + 1]]
+        at = ptr[i] + np.flatnonzero(row >= row.max() - TIE_TOL)
+        back = [ptr[j] + np.searchsorted(cols[ptr[j]:ptr[j + 1]], i) for j in cols[at]]
+        clamped[np.append(at, back)] = RESTORED_EDGE_WEIGHT
     edge = clamped != 0.0
     ptr = np.searchsorted(rows[edge], np.arange(m + 1))
     return CsrGraph(indptr=ptr, indices=cols[edge], data=clamped[edge], shape=(m, m))

@@ -22,7 +22,14 @@ from gfdenoise.denoise import (
     denoise_class,
     denoise_dataset,
 )
-from gfdenoise.errors import ClassTooSmall, InvalidK, InvalidRange, IsolatedVertex, ZeroVector
+from gfdenoise.errors import (
+    ClassTooSmall,
+    InvalidK,
+    InvalidRange,
+    IsolatedVertex,
+    NonFiniteValue,
+    ZeroVector,
+)
 from gfdenoise.graphs import class_graph, complete_graph
 from gfdenoise.spectral import apply_filter, eigendecompose, normalized_laplacian, step_response
 
@@ -96,6 +103,26 @@ class TestDenoiseClass:
     def test_too_small_class(self):
         with pytest.raises(ClassTooSmall):
             denoise_class(np.ones((1, 3)), DenoiseConfig())
+
+    @pytest.mark.parametrize("shape, row, cfg", [
+        ((6, 3), 3, DenoiseConfig(knn_k=2, k1=1, k2=3)),
+        ((6, 3), 3, DenoiseConfig(k1=1, k2=3, graph_kind="complete")),
+        ((6, 3), 3, DenoiseConfig(k1=6, k2=6)),  # passes every frequency
+        ((600, 8), 517, DenoiseConfig(knn_k=10, k1=5, k2=20)),  # Lanczos size
+        ((4, 5, 3), 2, DenoiseConfig(knn_k=2, k1=1, k2=3)),  # a stack
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named_before_any_graph(self, monkeypatch, shape, row, cfg, bad):
+        """A NaN or infinity raises NonFiniteValue naming its row (within
+        its block for a stack), on every path, before a graph is built."""
+        F = gaussian_class(np.random.default_rng(15), int(np.prod(shape[:-1])), shape[-1], 0.3)
+        F = F.reshape(shape)
+        F[(..., row, 1) if len(shape) == 2 else (2, row, 1)] = bad
+        forbid_graphs_and_solvers(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=f"^feature row {row}: non-finite feature value$"):
+                denoise_class(F, cfg)
 
     def test_row_order_preserved(self):
         rng = np.random.default_rng(3)
@@ -220,10 +247,9 @@ class TestSolverPaths:
         assume(np.all(np.diff(basis.eigenvalues)[[k1 - 1, k2 - 1]] > 1e-4))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * m * data.draw(st.integers(1, m // 3)))
-            # Copied rows tie; the two graphs may break a tie at a row's
-            # k-th largest apart (test_graphs.py), and then filter apart.
+            # Copied rows tie, and both graphs keep a tie whole.
             W = graphs.knn_graph_csr(F, cfg.knn_k).toarray()
-            assume(np.array_equal(W != 0.0, class_graph(F, "knn", cfg.knn_k) != 0.0))
+            assert np.array_equal(W != 0.0, class_graph(F, "knn", cfg.knn_k) != 0.0)
             out = denoise_class(F, cfg)
         assert np.max(np.abs(out - expected)) <= 1e-9
 
@@ -299,6 +325,171 @@ class TestCompleteGraphClosedForm:
         perm = rng.permutation(F.shape[-2])
         out = denoise_class(F, cfg)
         assert np.max(np.abs(denoise_class(F[..., perm, :], cfg) - out[..., perm, :])) <= 1e-12
+
+
+# Cuts between eigenvalues closer than this are not compared: there the
+# filtered output depends on the eigenbasis, and beyond it on rounding.
+# Rounding moved outputs by at most 2e-11 at gaps of 4e-5.
+SETTLED_GAP = 1e-4
+
+
+def settled(W, cfg):
+    """Whether the graph W, or each graph of a stack, is connected and has
+    gaps above SETTLED_GAP at both of cfg's cuts, so that the filter is a
+    function of the graph, to 1e-10."""
+    lam = eigendecompose(normalized_laplacian(W)).eigenvalues
+    m = lam.shape[-1]
+    eff = cfg.for_class_size(m)
+    gaps = [0] + [k - 1 for k in (eff.k1, eff.k2) if k < m]
+    return np.all(np.diff(lam)[..., gaps] > SETTLED_GAP, axis=-1)
+
+
+def copied_rows(rng, m, d, copies):
+    """m Gaussian rows and `copies` more, each a copy or a positive multiple
+    of one of them (a row may be repeated up to 5 times), in random order."""
+    base = rng.standard_normal((m, d)) + rng.choice([0.0, 0.3])
+    picks = rng.choice(np.repeat(np.arange(m), 4), copies, replace=False)
+    scale = rng.choice([0.5, 1.0, 2.0, 0.3, 1.7, 3.1], copies)[:, None]
+    F = np.vstack([base, base[picks] * scale])
+    return F[rng.permutation(len(F))]
+
+
+@st.composite
+def copied_classes(draw, max_rows=40):
+    """(F, rng): a class of copied_rows, some rows appearing 2-5 times."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    m = draw(st.integers(4, max_rows), label="distinct rows")
+    d = draw(st.sampled_from([4, 16, 64]), label="d")
+    return copied_rows(rng, m, d, draw(st.integers(1, 2 * m), label="copies")), rng
+
+
+def knn_configs(m):
+    """Configs with knn_k 2-10 and cuts up to 5 for a class of m rows."""
+    return st.builds(
+        lambda knn_k, k1, extra: DenoiseConfig(knn_k=knn_k, k1=k1, k2=k1 + extra),
+        st.integers(2, min(10, m - 1)), st.integers(1, 3), st.integers(0, 2),
+    )
+
+
+def permute_graph(W, perm):
+    """W's vertices permuted by perm: vertex i of the result is perm[i]."""
+    return W[np.ix_(perm, perm)]
+
+
+def restore_case(rng, copies):
+    """A class whose row 0 points away from the rest, so every edge it keeps
+    is negative and clamped, and whose nearest row appears copies + 1
+    times; in random order, with the index of row 0 and of the tie."""
+    base = rng.standard_normal((15, 8))
+    base[:, 0] = 3.0 + np.abs(base[:, 0])
+    away = -np.eye(8)[0] + 0.1 * rng.standard_normal(8)
+    nearest = np.argmax(base @ away / np.linalg.norm(base, axis=1))
+    scale = rng.choice([0.5, 1.0, 2.0, 1.7], copies)[:, None]
+    F = np.vstack([away, base, base[[nearest] * copies] * scale])
+    perm = rng.permutation(len(F))
+    where = np.argsort(perm)
+    return F[perm], where[0], where[[1 + nearest] + list(range(16, 16 + copies))]
+
+
+class TestRowOrder:
+    """Rows that repeat, as copies or positive multiples, tie in cosine
+    similarity. The kNN graph keeps or restores a tie whole, so permuting a
+    class's rows permutes its graph, in either builder, and its filtered
+    rows, to 1e-10 wherever the filter is a function of the graph."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(copied_classes(), st.data())
+    def test_class_graph(self, case, data):
+        F, rng = case
+        cfg = data.draw(knn_configs(len(F)), label="cfg")
+        perm = rng.permutation(len(F))
+        W = class_graph(F, "knn", cfg.knn_k)
+        assert np.array_equal(class_graph(F[perm], "knn", cfg.knn_k) != 0.0,
+                              permute_graph(W, perm) != 0.0)
+        assume(settled(W, cfg))
+        out = denoise_class(F, cfg)
+        assert np.max(np.abs(denoise_class(F[perm], cfg) - out[perm])) <= 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(4, 9), st.integers(2, 5),
+           st.integers(2, 4))
+    def test_stack_permuted_within_blocks(self, seed, b, m, copies, knn_k):
+        rng = np.random.default_rng(seed)
+        F = np.stack([copied_rows(rng, m, 16, copies) for _ in range(b)])
+        cfg = DenoiseConfig(knn_k=knn_k)
+        perm = np.stack([rng.permutation(m + copies) for _ in range(b)])
+        Fp = np.take_along_axis(F, perm[..., None], axis=1)
+        W, Wp = class_graph(F, "knn", knn_k), class_graph(Fp, "knn", knn_k)
+        for block, p in enumerate(perm):
+            assert np.array_equal(Wp[block] != 0.0, permute_graph(W[block], p) != 0.0)
+        ok = settled(W, cfg)
+        assume(ok.any())
+        moved = denoise_class(Fp, cfg) - np.take_along_axis(denoise_class(F, cfg), perm[..., None], 1)
+        assert np.max(np.abs(moved[ok])) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(copied_classes(max_rows=150), st.data())
+    def test_streamed_graph_and_lanczos(self, case, data):
+        """knn_graph_csr, at any block size for either row order, and the
+        Lanczos path it feeds, here taken by small classes too."""
+        F, rng = case
+        m = len(F)
+        assume(m >= 2 * LANCZOS_ROWS_PER_PAIR)
+        k2 = data.draw(st.integers(2, m // LANCZOS_ROWS_PER_PAIR), label="k2")
+        cfg = DenoiseConfig(knn_k=data.draw(st.integers(3, 10), label="knn_k"),
+                            k1=data.draw(st.integers(1, k2 - 1), label="k1"), k2=k2)
+        perm = rng.permutation(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gfdenoise.denoise, "LANCZOS_MIN_ROWS", 2)
+            graphs_and_outputs = []
+            for rows in (F, F[perm]):
+                block_rows = data.draw(st.integers(1, m), label="block rows")
+                mp.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * m * block_rows)
+                graphs_and_outputs.append(
+                    (graphs.knn_graph_csr(rows, cfg.knn_k).toarray(), denoise_class(rows, cfg))
+                )
+        (W, out), (Wp, outp) = graphs_and_outputs
+        assert np.array_equal(Wp != 0.0, permute_graph(W, perm) != 0.0)
+        np.testing.assert_allclose(Wp, permute_graph(W, perm), rtol=0.0, atol=1e-15)
+        assume(settled(W, cfg))
+        assert np.max(np.abs(outp - out[perm])) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 15))
+    def test_restored_edge_ties_between_copies(self, seed, copies, block_rows):
+        """The isolated row gets back its edge to every copy of its nearest
+        row, in both builders, so the output does not follow the order of
+        the copies."""
+        rng = np.random.default_rng(seed)
+        F, away, tie = restore_case(rng, copies)
+        m, cfg = len(F), DenoiseConfig(knn_k=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * m * block_rows)
+            streamed = graphs.knn_graph_csr(F, 3).toarray()
+        W = class_graph(F, "knn", 3)
+        for graph in (W, streamed):
+            assert np.array_equal(np.flatnonzero(graph[away]), np.sort(tie))
+            assert np.all(graph[away, tie] == graphs.RESTORED_EDGE_WEIGHT)
+        perm = rng.permutation(m)
+        assert np.array_equal(class_graph(F[perm], "knn", 3) != 0.0, permute_graph(W, perm) != 0.0)
+        assume(settled(W, cfg))
+        assert np.max(np.abs(denoise_class(F[perm], cfg) - denoise_class(F, cfg)[perm])) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(copied_classes(max_rows=80), st.data())
+    def test_builders_give_one_graph(self, case, data):
+        """The dense and the streamed builder keep the same edges, at any
+        block size, and weigh them alike to a few ulp."""
+        F, _ = case
+        m = len(F)
+        k = data.draw(st.integers(1, m - 1), label="k")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "GRAPH_BLOCK_BYTES",
+                       8 * m * data.draw(st.integers(1, m), label="block rows"))
+            streamed = graphs.knn_graph_csr(F, k).toarray()
+        dense = class_graph(F, "knn", k)
+        assert np.array_equal(streamed != 0.0, dense != 0.0)
+        np.testing.assert_allclose(streamed, dense, rtol=0.0, atol=1e-15)
 
 
 class TestDenoiseDataset:
@@ -487,6 +678,17 @@ class TestFilteringErrorsNameClassAndRow:
         assert (type(back), str(back), back.index, back.label) == (
             IsolatedVertex, str(exc.value), 0, "o"
         )
+
+    def test_non_finite_row(self):
+        data = self.data()
+        data.features[6] = [1.0, np.nan, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                denoise_dataset(data, self.CFG)
+        assert str(exc.value) == "class 'b', row 6: non-finite feature value"
+        assert (exc.value.row, exc.value.label) == (6, "b")
+        assert str(exc.value.__cause__) == "feature row 2: non-finite feature value"
 
     def test_error_without_a_row_names_the_class(self, monkeypatch):
         def fail(F, cfg):

@@ -24,6 +24,7 @@ from gfdenoise.errors import (
     InsufficientPool,
     InvalidSize,
     IsolatedVertex,
+    NonFiniteValue,
     TooFewSamples,
     ZeroVector,
 )
@@ -267,6 +268,20 @@ class TestMatchesPerEpisodeReference:
         with pytest.raises(ZeroVector) as exc:
             paired_accuracies(*args)
         assert outcome(lambda: per_episode_accuracies(*args)) == (ZeroVector, str(exc.value))
+
+    def test_non_finite_support_row_names_its_pool_row(self, pool, monkeypatch):
+        bad = LabeledFeatures(pool.features.copy(), pool.labels)
+        nan_rows = np.flatnonzero(pool.labels == pool.labels[0])[::2]
+        bad.features[nan_rows, 3] = np.nan
+        spec = EpisodeSpec(n_way=3, m_shot=4, q_query=3)
+        self.chunk_of(4, spec, pool, monkeypatch)
+        args = (bad, spec, DenoiseConfig(), ClassifierConfig(), 30, 2)
+        with pytest.raises(NonFiniteValue) as exc:
+            paired_accuracies(*args)
+        named = [f"class {str(pool.labels[0])!r}, pool row {row}: non-finite feature value"
+                 for row in nan_rows]
+        assert str(exc.value) in named
+        assert outcome(lambda: per_episode_accuracies(*args)) == (NonFiniteValue, str(exc.value))
 
     def test_zero_width_pool_raises_as_one_episode_does(self):
         """Rows of 0 features make an episode of 0 bytes, which sizes no

@@ -17,26 +17,26 @@ from gfdenoise.graphs import (
 
 
 def brute_force_knn_mask(S: np.ndarray, k: int) -> np.ndarray:
-    """Union of row-wise and column-wise top-k masks, built with explicit
-    loops and the lower-column-index tie-break."""
+    """Union of row-wise and column-wise kNN masks, built with explicit
+    loops: row i keeps each column whose entry is at or above its k-th
+    largest off-diagonal entry less TIE_TOL."""
     n = S.shape[0]
     row_keep = np.zeros((n, n), dtype=bool)
     for i in range(n):
-        candidates = [j for j in range(n) if j != i]
-        candidates.sort(key=lambda j: (-S[i, j], j))
-        for j in candidates[:k]:
-            row_keep[i, j] = True
+        kth = sorted((S[i, j] for j in range(n) if j != i), reverse=True)[k - 1]
+        for j in range(n):
+            row_keep[i, j] = j != i and S[i, j] >= kth - graphs.TIE_TOL
     return row_keep | row_keep.T
 
 
-def argsort_knn(S: np.ndarray, k: int) -> np.ndarray:
-    """Reference kNN by a full stable argsort of each row."""
+def threshold_knn(S: np.ndarray, k: int) -> np.ndarray:
+    """Reference kNN by a full sort of each row: row i keeps every
+    off-diagonal entry at or above its k-th largest less TIE_TOL, ties
+    included whatever their columns."""
     n = S.shape[0]
     ranked = S.copy()
     np.fill_diagonal(ranked, -np.inf)
-    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k]
-    keep = np.zeros((n, n), dtype=bool)
-    keep[np.repeat(np.arange(n), k), order.ravel()] = True
+    keep = ranked >= np.sort(ranked, axis=1)[:, n - k, None] - graphs.TIE_TOL
     keep |= keep.T
     W = np.where(keep, S, 0.0)
     np.fill_diagonal(W, 0.0)
@@ -142,10 +142,10 @@ class TestKnnSparsify:
 
     @settings(max_examples=300, deadline=None)
     @given(tied_symmetric_matrices())
-    def test_matches_stable_argsort_with_ties(self, S):
+    def test_matches_threshold_oracle_with_ties(self, S):
         for k in range(1, S.shape[0]):
             W = knn_sparsify(S, k)
-            ref = argsort_knn(S, k)
+            ref = threshold_knn(S, k)
             assert np.array_equal(W, ref), k
             assert np.array_equal(np.signbit(W), np.signbit(ref)), k
 
@@ -199,23 +199,23 @@ class TestClampNegativeEdges:
         np.testing.assert_allclose(clamp_negative_edges(W), W)
 
 
-# Similarities within this distance of a row's k-th largest may be kept by
-# one graph builder and not the other (see the gfdenoise.graphs docstring).
+# Similarities within this distance of a row's threshold, its k-th largest
+# less TIE_TOL, may be kept by one graph builder and not the other (see the
+# gfdenoise.graphs docstring).
 ULP_SLACK = 16 * np.finfo(np.float64).eps
 
 
 def unstable_vertices(S: np.ndarray, k: int) -> np.ndarray:
     """Vertices whose row of the dense kNN graph could change if S moved by
-    ULP_SLACK: a row where a similarity other than its k-th largest t_i lies
-    within ULP_SLACK of t_i (an exact tie included, since the other product
-    need not tie), the other end of each such similarity, and any vertex
-    with a similarity near 0, where clamping could go either way."""
+    ULP_SLACK: a row with a similarity within ULP_SLACK of its threshold,
+    the other end of each such similarity, and any vertex with a similarity
+    near 0, where clamping could go either way. Ties are kept whole, so a
+    tie at the k-th largest is stable."""
     ranked = S.copy()
     np.fill_diagonal(ranked, -np.inf)
-    t = -np.partition(-ranked, k - 1, axis=1)[:, k - 1, None]
-    near = np.abs(S - t) <= ULP_SLACK
-    np.fill_diagonal(near, False)
-    unsure = near & (near.sum(axis=1, keepdims=True) > 1)
+    t = -np.partition(-ranked, k - 1, axis=1)[:, k - 1, None] - graphs.TIE_TOL
+    unsure = np.abs(S - t) <= ULP_SLACK
+    np.fill_diagonal(unsure, False)
     unsure |= unsure.T
     zero = np.abs(S) <= ULP_SLACK
     np.fill_diagonal(zero, False)
@@ -285,15 +285,15 @@ class TestKnnGraphCsr:
         dense = clamp_negative_edges(knn_sparsify(S, 10))
         assert np.array_equal(W[pairs] != 0.0, dense[pairs] != 0.0)
 
-    def test_restores_the_strongest_edge_of_an_isolated_vertex(self, monkeypatch):
+    def test_restores_the_strongest_edges_of_an_isolated_vertex(self, monkeypatch):
         # Row 0 points away from rows 1-4, so both its kept edges are
         # negative. Rows 1 and 2 are equal and nearest to it; row 0 gets
-        # back its edge to row 1, the lower column of the tie.
+        # back its edges to both, the whole tie.
         monkeypatch.setattr(graphs, "GRAPH_BLOCK_BYTES", 8 * 5 * 2)
         F = np.array([[-1.0, 0.0], [1.0, 0.5], [1.0, 0.5], [1.0, 0.1], [1.0, 0.2]])
         W = knn_graph_csr(F, 2).toarray()
-        assert W[0, 1] == W[1, 0] == graphs.RESTORED_EDGE_WEIGHT
-        assert W[0, 2] == W[0, 3] == W[0, 4] == 0.0
+        assert W[0, 1] == W[1, 0] == W[0, 2] == W[2, 0] == graphs.RESTORED_EDGE_WEIGHT
+        assert W[0, 3] == W[0, 4] == 0.0
         expected = clamp_negative_edges(knn_sparsify(cosine_similarity(F), 2))
         assert np.array_equal(W != 0.0, expected != 0.0)
         np.testing.assert_allclose(W, expected, rtol=0.0, atol=ULP_SLACK)
