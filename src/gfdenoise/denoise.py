@@ -43,21 +43,21 @@ GRAPH_KINDS = ("knn", "complete")
 
 # A kNN class of m >= LANCZOS_MIN_ROWS rows whose filter passes
 # k2 <= m / LANCZOS_ROWS_PER_PAIR frequencies is solved for only its k2
-# lowest eigenpairs by sparse Lanczos instead of a dense eigh. Measured on
-# Gaussian classes (d = 128, knn_k = 10) on a 2-vCPU VM with 2 BLAS
-# threads, spectral.lowest_eigenpairs at k2 = m/16 was 0.7x as fast as
-# dense eigh at m = 384, even at m = 800 and 1.5-1.8x faster at
-# m = 1,600..2,400; at k2 = m/10 it was 0.6-1.1x as fast, and at k2 = m/4
-# 2-3.5x slower. The bounds were chosen when the solver was ARPACK, which
-# was 1.5-2.5x faster than eigh at k2 = m/16 from m = 384. Either way, the
-# Lanczos path holds no m x m array. The bound stays at 512 for the numpy
-# solver: at k2 = m/16, k1 = k2/2, the whole denoise_class took, Lanczos
-# against dense, 42 against 31 ms at m = 384, 45-63 against 54-61 ms at
-# m = 512 and 89-120 against 118-150 ms at m = 800, with traced peaks of
-# 2.7/4.5, 3.8/8.0 and 6.1/19.6 MiB. So 512 is about where Lanczos stops
-# being slower, and it holds half the memory there; a higher bound would
-# make classes of 512-800 rows slower and larger, and would move their
-# output in the last bits (up to 8e-14 here).
+# lowest eigenpairs by spectral.lowest_eigenpairs instead of a dense eigh,
+# and holds no m x m array. Measured with the Chebyshev-filtered solve on
+# Gaussian classes (d = 128, mean 0.3, knn_k = 10, k1 = k2/2) on a 2-vCPU
+# VM with 2 BLAS threads, best of 7, the whole denoise_class took, Lanczos
+# against dense:
+#   k2 = m/16: 23 / 24 ms at m = 384, 26 / 37 at 448, 29 / 50 at 512,
+#              42 / 75 at 640, 64 / 111 at 800;
+#   k2 = m/8:  27 / 21 ms at m = 384, 36 / 28 at 448, 34 / 44 at 512,
+#              52 / 62 at 640, 74 / 105 at 800;
+# traced peaks: 2.7/4.5 MiB at m = 384, 3.8/8.0 at 512, 6.1/19.6 at 800.
+# So the filter moved the crossover at k2 = m/16 down to about 400 rows,
+# and made k2 = m/8 faster from 512 rows up to 800. Both bounds stay as
+# they were set for the unfiltered solve: k2 = m/8 was not measured above
+# 800 rows, and no benchmark or CI class has 400-511 rows or
+# m/16 < k2 <= m/8, so a lower bound would only move untested classes.
 LANCZOS_MIN_ROWS = 512
 LANCZOS_ROWS_PER_PAIR = 16
 
@@ -153,8 +153,10 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
 def denoise_or_pass(F: np.ndarray, cfg: DenoiseConfig, name: str) -> np.ndarray:
     """denoise_class, except that classes of fewer than 2 rows are passed
     through unfiltered with one SmallClassWarning naming them, so 1-shot
-    support sets remain usable."""
+    support sets remain usable. A row holding a NaN or infinity raises
+    NonFiniteValue, as denoise_class does, also in such a class."""
     if F.shape[-2] < 2:
+        check_finite(F)
         warnings.warn(
             f"{name} has fewer than 2 samples; passed through unfiltered",
             SmallClassWarning,

@@ -13,9 +13,9 @@ import numpy as np
 
 # The ncm_ and nn1_ names are unused here, but perfbench/layertrace.py traces them here.
 from .classify import ClassifierConfig, ncm_fit, ncm_predict, nn1_predict, predict  # noqa: F401
-from .data import LabeledFeatures, class_index_map
+from .data import LabeledFeatures, check_finite, class_index_map
 from .denoise import DenoiseConfig, denoise_dataset, denoise_or_pass
-from .errors import GfdError, InsufficientPool, InvalidSize, TooFewSamples
+from .errors import GfdError, InsufficientPool, InvalidSize, NonFiniteValue, TooFewSamples
 
 # paired_accuracies gathers the support and query rows of as many episodes
 # at a time as fit in this many bytes (at least one episode): five 5-way
@@ -141,13 +141,22 @@ def paired_accuracies(
     those of evaluating the episodes one by one: a chunk that fails is
     drawn and filtered again one episode at a time.
 
-    A filtering error is that of denoise_dataset on the first failing
-    episode's support rows under their pool labels: it names the pool's
-    class and the pool row, e.g. `class 'c1', pool row 13: feature row has
-    zero norm`.
+    A pool row holding a NaN or infinity raises NonFiniteValue before any
+    episode is drawn, whether a support, a query or no episode would hold
+    it, naming the first such row: `class 'c1', pool row 13: non-finite
+    feature value`. Any other filtering error is that of denoise_dataset on
+    the first failing episode's support rows under their pool labels: it
+    names the pool's class and the pool row, e.g. `class 'c1', pool row 13:
+    feature row has zero norm`.
     """
     if iterations < 1:
         raise InvalidSize(f"iterations must be >= 1, got {iterations}")
+    try:
+        check_finite(pool.features)
+    except NonFiniteValue as exc:
+        exc.label = str(pool.labels[exc.row])
+        exc.args = (f"class {exc.label!r}, pool row {exc.row}: {exc.reason}",)
+        raise
     index = class_index_map(pool.labels)
     n_way, m, d = spec.n_way, spec.m_shot, pool.d
     episode_bytes = n_way * (m + spec.q_query) * d * pool.features.itemsize

@@ -23,6 +23,12 @@ LANCZOS_MAX_RESTARTS = 300
 # Start vectors of lowest_eigenpairs' Lanczos basis: the largest multiplicity
 # of a wanted eigenvalue that it is sure to find.
 LANCZOS_BLOCK = 2
+# lowest_eigenpairs' filtered solve: the plain Lanczos steps that estimate
+# the spectral density, how many eigenvalues beyond the k wanted it puts
+# above the filter's cut, and the Chebyshev filter's degree.
+DENSITY_STEPS = 40
+CUT_MARGIN = 60
+FILTER_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -103,15 +109,20 @@ def lowest_eigenpairs(W: CsrGraph, k: int) -> SpectralBasis | None:
     adjacency W, or None when W's graph has more than one connected
     component or Lanczos does not converge. A stored 0.0 is no edge.
 
-    Thick-restart block Lanczos from two start vectors (see
-    _thick_restart_lanczos) finds the k largest eigenvalues mu of the
-    sparse normalized adjacency D^{-1/2} W D^{-1/2}; the Laplacian's are
-    lambda = 1 - mu. W is checked like normalized_laplacian checks a dense
-    adjacency, with the same errors, and the basis follows eigendecompose's
-    conventions. A disconnected graph repeats eigenvalue 0 as often as it
-    has components, more often than Lanczos can be sure to find it, so
-    the caller solves such a graph, and one on which Lanczos does not
-    converge, by eigendecompose of W.toarray()'s Laplacian.
+    The solve finds the k largest eigenvalues mu of the sparse normalized
+    adjacency M = D^{-1/2} W D^{-1/2}; the Laplacian's are lambda = 1 - mu.
+    W is checked like normalized_laplacian checks a dense adjacency, with
+    the same errors, and the basis follows eigendecompose's conventions. A
+    disconnected graph repeats eigenvalue 0 as often as it has components,
+    more often than Lanczos can be sure to find it, so the caller solves
+    such a graph, and one on which Lanczos does not converge, by
+    eigendecompose of W.toarray()'s Laplacian.
+
+    A connected graph is solved through a Chebyshev filter that deflates
+    M's known top eigenpair, mu = 1 on z = D^{1/2} 1 / |D^{1/2} 1|, cuts
+    at a spectral density estimate and certifies the pairs it finds (see
+    _filtered_lanczos). When it declines, thick-restart block Lanczos from
+    two start vectors (_thick_restart_lanczos) solves M itself.
     """
     n = W.shape[0]
     if W.shape[1] != n:
@@ -151,11 +162,109 @@ def lowest_eigenpairs(W: CsrGraph, k: int) -> SpectralBasis | None:
             return np.array([y.real, y.imag])
         return np.add.reduceat(scaled * X[0][cols], starts)[None]
 
-    found = _thick_restart_lanczos(matvec, n, k)
+    z = np.sqrt(deg)
+    z /= np.linalg.norm(z)
+    found = _filtered_lanczos(matvec, z, k) or _thick_restart_lanczos(matvec, n, k)
     if found is None:
         return None
     mu, U = found
     return _conventional_basis(1.0 - mu, U)
+
+
+def _filtered_lanczos(matvec, z: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The k largest eigenpairs of the normalized adjacency M = matvec of a
+    connected graph, as _thick_restart_lanczos returns them, given its
+    eigenvector z for eigenvalue 1. None, and the caller solves M itself,
+    at k = 1, on a graph of fewer than k + CUT_MARGIN + DENSITY_STEPS
+    vertices, without a density estimate, when the filtered run does not
+    converge or gives up early, or when the pairs are not certified.
+
+    The other k - 1 are the largest of p(M) on the complement of z, where p
+    is the degree-FILTER_DEGREE Chebyshev polynomial of [-1, c], scaled to
+    1 at the estimated second eigenvalue so that p(M), like M, has about
+    unit spectral radius, as _thick_restart_lanczos's convergence test
+    takes it to; _spectral_cut puts the cut c below about k + CUT_MARGIN
+    eigenvalues (Zhou and Saad 2007). The eigenvalues are M's Rayleigh
+    quotients on the Ritz vectors found. |p| is at most p(c) on [-1, c]
+    and p increases above c, so when the k-th eigenvalue lies above c, no
+    eigenvalue left out has a larger p than a wanted one: the pairs are
+    M's k largest. That is the certificate. When the k-th eigenvalue lies
+    at or below c, the (k - 1)-th of p(M) is at most p(c), and so is its
+    Ritz value: the filtered run gives up at its first restart, after one
+    basis of filtered steps, rather than spend LANCZOS_MAX_RESTARTS
+    restarts on pairs that cannot be certified.
+    """
+    n = z.size
+    if k < 2 or n < k + CUT_MARGIN + DENSITY_STEPS:
+        return None
+    cut = _spectral_cut(matvec, z, k + CUT_MARGIN)
+    if cut is None:
+        return None
+    c, top = cut
+    center, half = (c - 1.0) / 2.0, (c + 1.0) / 2.0
+    # T_d(x) = cosh(d arccosh x) for x >= 1, and top lies above c.
+    scale = np.cosh(FILTER_DEGREE * np.arccosh((top - center) / half))
+
+    def filtered(X):
+        # p(M) of X projected off z, by the Chebyshev three-term recurrence.
+        # M keeps the complement of z, but p is large at 1, so the result
+        # is projected off z again to drop the round-off that p enlarged.
+        X = X - np.outer(X @ z, z)
+        prev, Y = X, (matvec(X) - center * X) / half
+        for _ in range(FILTER_DEGREE - 1):
+            prev, Y = Y, (2.0 / half) * (matvec(Y) - center * Y) - prev
+        return (Y - np.outer(Y @ z, z)) / scale
+
+    found = _thick_restart_lanczos(filtered, n, k - 1, floor=1.0 / scale)
+    if found is None:
+        return None
+    U = found[1]
+    MU = np.concatenate([matvec(U.T[j:j + 2]) for j in range(0, k - 1, 2)])
+    mu, S = np.linalg.eigh(MU @ U)
+    if not mu[0] > c:
+        return None
+    return np.concatenate([[1.0], mu[::-1]]), np.column_stack([z, U @ S[:, ::-1]])
+
+
+def _spectral_cut(matvec, z: np.ndarray, count: int) -> tuple[float, float] | None:
+    """(c, top): a point c above which about `count` of the eigenvalues of
+    the normalized adjacency M = matvec lie, leaving out eigenvalue 1 of its
+    eigenvector z, and the largest of those eigenvalues, estimated; None on
+    a Lanczos breakdown or when no such c lies in (-1, top).
+
+    Stochastic Lanczos quadrature (Lin, Saad and Yang 2016): DENSITY_STEPS
+    plain Lanczos steps on M projected off z, from the LANCZOS_BLOCK start
+    vectors centered and projected off z, give Gauss nodes and weights
+    whose weights above x, averaged and times n - 1, estimate how many
+    eigenvalues lie above x. Uncentered, the start vectors (entries in
+    [1, 2)) lean toward smooth eigenvectors and put the cut too high.
+    """
+    n = z.size
+    Q = np.array([_start_vector(n, seed) for seed in range(LANCZOS_BLOCK)])
+    Q -= Q.mean(axis=1, keepdims=True)
+    Q -= np.outer(Q @ z, z)
+    Q /= np.linalg.norm(Q, axis=1, keepdims=True)
+    prev, beta = np.zeros_like(Q), np.zeros(len(Q))
+    T = np.zeros((len(Q), DENSITY_STEPS, DENSITY_STEPS))
+    for j in range(DENSITY_STEPS):
+        X = matvec(Q)
+        X -= np.outer(X @ z, z)
+        T[:, j, j] = alpha = np.sum(X * Q, axis=1)
+        X -= alpha[:, None] * Q + beta[:, None] * prev
+        beta = np.linalg.norm(X, axis=1)
+        if not np.all(beta > np.sqrt(np.finfo(np.float64).eps)):
+            return None
+        if j + 1 < DENSITY_STEPS:
+            T[:, j, j + 1] = T[:, j + 1, j] = beta
+        prev, Q = Q, X / beta[:, None]
+    nodes, S = np.linalg.eigh(T)
+    order = np.argsort(nodes, axis=None)[::-1]
+    above = np.cumsum((S[:, 0, :] ** 2).ravel()[order]) * (n - 1) / len(Q)
+    at = np.searchsorted(above, count)
+    if at == above.size:
+        return None
+    c, top = nodes.ravel()[order[[at, 0]]]
+    return (c, top) if -1.0 < c < top else None
 
 
 def _connected(starts: np.ndarray, cols: np.ndarray) -> bool:
@@ -194,11 +303,16 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _thick_restart_lanczos(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _thick_restart_lanczos(
+    matvec, n: int, k: int, floor: float = -np.inf
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The k largest eigenvalues of the symmetric n x n operator matvec
     (which maps each row of an array), descending, and orthonormal
     eigenvectors as columns; None if LANCZOS_MAX_RESTARTS restarts do not
-    converge.
+    converge, or at the first restart whose k-th Ritz value is at most
+    floor. Ritz values bound the largest eigenvalues from below, so a run
+    whose k-th eigenvalue is at most floor always ends there, and one whose
+    k-th eigenvalue is only a little above it may too.
 
     A band Lanczos basis V of ncv = max(2k + 1, 20 b) rows (ARPACK's
     default ncv for b = 1) grows from b = LANCZOS_BLOCK start vectors: the
@@ -273,6 +387,8 @@ def _thick_restart_lanczos(matvec, n: int, k: int) -> tuple[np.ndarray, np.ndarr
         residual = np.linalg.norm(R.T @ S[-b:, -k:], axis=0)
         if np.all(residual <= eps):
             return theta[:-k - 1:-1], V.T @ S[:, :-k - 1:-1]
+        if theta[-k] <= floor:
+            return None
         V[:keep] = S[:, -keep:].T @ V
         T[:] = 0.0
         T[:keep, :keep] = np.diag(theta[-keep:])

@@ -13,7 +13,7 @@ from gfdenoise.cli import _load_pool
 from gfdenoise.data import LabeledFeatures, class_index_map, stratified_split
 from gfdenoise.denoise import DenoiseConfig, denoise_class, denoise_dataset
 from gfdenoise.episodes import _draw_rows, classify_episode, sample_episode
-from gfdenoise.errors import GfdError
+from gfdenoise.errors import GfdError, NonFiniteValue
 from gfdenoise.fileio import load_features
 
 
@@ -63,7 +63,14 @@ def per_episode_accuracies(pool, spec, denoise_cfg, classifier_cfg, iterations, 
     evaluated one episode at a time: sample_episode, classify_labels on the
     raw support, denoise_dataset, classify_labels on the filtered support.
     The support is filtered under its rows' pool labels, with each row
-    named by its pool row, so that a filtering error names both."""
+    named by its pool row, so that a filtering error names both. A NaN or
+    infinity anywhere in the pool is named first, by its class and pool
+    row."""
+    bad = np.flatnonzero(~np.isfinite(pool.features).all(axis=1))
+    if bad.size:
+        exc = NonFiniteValue(int(bad[0]))
+        exc.args = (f"class {str(pool.labels[bad[0]])!r}, pool row {bad[0]}: {exc.reason}",)
+        raise exc
     index = class_index_map(pool.labels)
     acc_raw = np.empty(iterations)
     acc_filt = np.empty(iterations)

@@ -196,7 +196,10 @@ class TestSolverPaths:
             F[:400, 0] += 1.0
             F[400:, 1] += 1.0
         else:
-            # One pass of Lanczos with no restart leaves some of 40 pairs unconverged.
+            # With no density estimate the filtered solve declines, and one
+            # pass of the unfiltered Lanczos with no restart leaves some of
+            # 40 pairs unconverged.
+            monkeypatch.setattr(gfdenoise.spectral, "_spectral_cut", lambda *args: None)
             monkeypatch.setattr(gfdenoise.spectral, "LANCZOS_MAX_RESTARTS", 0)
             F = gaussian_class(np.random.default_rng(33), 800, 8, mu=0.3)
         eff = self.CFG.for_class_size(len(F))
@@ -689,6 +692,21 @@ class TestFilteringErrorsNameClassAndRow:
         assert str(exc.value) == "class 'b', row 6: non-finite feature value"
         assert (exc.value.row, exc.value.label) == (6, "b")
         assert str(exc.value.__cause__) == "feature row 2: non-finite feature value"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_of_a_one_row_class(self, bad):
+        """A class too small to filter is still checked, before it would be
+        passed through with a warning."""
+        F = self.data().features
+        F[6] = [1.0, 2.0, 3.0]
+        F[5, 2] = bad
+        data = LabeledFeatures(F, ["a", "b", "a", "b", "a", "solo", "b", "c", "c"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                denoise_dataset(data, self.CFG)
+        assert str(exc.value) == "class 'solo', row 5: non-finite feature value"
+        assert (exc.value.row, exc.value.label) == (5, "solo")
 
     def test_error_without_a_row_names_the_class(self, monkeypatch):
         def fail(F, cfg):

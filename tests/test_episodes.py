@@ -12,6 +12,7 @@ from gfdenoise.denoise import DenoiseConfig, SmallClassWarning, denoise_dataset
 from gfdenoise.episodes import (
     ClassifierConfig,
     EpisodeSpec,
+    _draw_rows,
     confidence_interval,
     paired_accuracies,
     paired_report,
@@ -281,6 +282,32 @@ class TestMatchesPerEpisodeReference:
         named = [f"class {str(pool.labels[0])!r}, pool row {row}: non-finite feature value"
                  for row in nan_rows]
         assert str(exc.value) in named
+        assert outcome(lambda: per_episode_accuracies(*args)) == (NonFiniteValue, str(exc.value))
+
+    @pytest.mark.parametrize("m_shot, where", [(1, "support"), (4, "query"), (4, "undrawn")])
+    def test_non_finite_pool_row_is_named_before_any_episode(self, m_shot, where):
+        """A NaN in a 1-shot support, which is passed through unfiltered, in
+        a query row, which is never filtered, or in a row no episode draws
+        raises all the same, naming the pool row."""
+        spec = EpisodeSpec(n_way=8, m_shot=m_shot, q_query=3)
+        small = make_gaussian_pool(n_classes=8, per_class=m_shot + 3 + 1, dim=16, seed=0)
+        rows = _draw_rows(np.random.default_rng(np.random.SeedSequence(2).spawn(1)[0]),
+                          class_index_map(small.labels), spec)
+        drawn = set(rows.ravel().tolist())
+        row = {
+            "support": int(rows[3, 0]),
+            "query": int(rows[3, m_shot]),
+            "undrawn": min(set(range(small.n)) - drawn),
+        }[where]
+        small.features[row, 5] = np.nan
+        args = (small, spec, DenoiseConfig(), ClassifierConfig(), 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as exc:
+                paired_accuracies(*args)
+        label = str(small.labels[row])
+        assert str(exc.value) == f"class {label!r}, pool row {row}: non-finite feature value"
+        assert (exc.value.row, exc.value.label) == (row, label)
         assert outcome(lambda: per_episode_accuracies(*args)) == (NonFiniteValue, str(exc.value))
 
     def test_zero_width_pool_raises_as_one_episode_does(self):

@@ -1,11 +1,14 @@
 """Laplacian, eigenbasis, GFT, and filter-response tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfdenoise import spectral
+from gfdenoise.denoise import LANCZOS_ROWS_PER_PAIR
 from gfdenoise.errors import (
     DimensionMismatch,
     InvalidRange,
@@ -20,6 +23,7 @@ from gfdenoise.graphs import (
     knn_sparsify,
 )
 from gfdenoise.spectral import (
+    SpectralBasis,
     apply_filter,
     eigendecompose,
     gft,
@@ -298,7 +302,8 @@ class TestLanczosAgainstDense:
         """On 41 vertices, the ring's and the path's Krylov spaces from two
         start vectors become invariant before the basis fills, at every
         k = 1..11: a third start vector is drawn, and the eigenpairs are
-        still the lowest."""
+        still the lowest. The filtered solve is switched off, so that
+        this tests the unfiltered one, which it falls back to."""
         W = graph(41)
         dense = eigendecompose(normalized_laplacian(W))
         drawn, start_vector = [], spectral._start_vector
@@ -307,6 +312,7 @@ class TestLanczosAgainstDense:
             drawn.append(seed)
             return start_vector(n, seed)
 
+        monkeypatch.setattr(spectral, "_filtered_lanczos", lambda *args: None)
         monkeypatch.setattr(spectral, "_start_vector", spy)
         for k in range(1, 12):
             drawn.clear()
@@ -350,6 +356,148 @@ class TestLanczosAgainstDense:
         W = W[np.ix_(order, order)]
         k = int(rng.integers(1, m // 4 + 1))
         assert lowest_eigenpairs(CsrGraph.from_dense(W), k) is None
+
+
+@st.composite
+def large_knn_graphs(draw):
+    """A cosine kNN graph of m = 600..3,000 rows around a common mean:
+    Gaussian rows, or rows of two scales (a fifth of them spread 5 times
+    wider), with or without copies of some rows, scaled, which tie."""
+    m = draw(st.integers(600, 3000), label="m")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = rng.standard_normal((m, draw(st.sampled_from([8, 32, 128]), label="d")))
+    if draw(st.booleans(), label="two scales"):
+        F[: m // 5] *= 5.0
+    F += draw(st.sampled_from([0.3, 1.0]), label="mean")
+    copies = draw(st.integers(0, m // 4), label="copies")
+    F[rng.choice(m, copies, replace=False)] = F[rng.integers(0, m, copies)] * rng.choice(
+        [0.5, 1.0, 2.0], (copies, 1))
+    return knn_graph_csr(F, draw(st.integers(5, 15), label="knn_k"))
+
+
+def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
+    """The 2-norm of the difference of the projectors onto the column
+    spans of U and V, orthonormal and of equal width: the sine of their
+    largest principal angle."""
+    return float(np.linalg.norm(V - U @ (U.T @ V), 2))
+
+
+@contextlib.contextmanager
+def filtered_solves():
+    """Whether each _filtered_lanczos call returned pairs, in call order."""
+    solves, filtered = [], spectral._filtered_lanczos
+
+    def spy(*args):
+        found = filtered(*args)
+        solves.append(found is not None)
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_filtered_lanczos", spy)
+        yield solves
+
+
+def assert_matches_dense(basis: SpectralBasis, dense: SpectralBasis, k: int) -> None:
+    """The k lowest eigenvalues agree to 1e-10, and so do the projectors
+    onto their eigenvectors where the gap at k exceeds 1e-4."""
+    np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+    if dense.eigenvalues[k] - dense.eigenvalues[k - 1] > 1e-4:
+        assert subspace_distance(dense.eigenvectors[:, :k], basis.eigenvectors) <= 1e-10
+
+
+class TestFilteredLanczos:
+    @settings(max_examples=6, deadline=None)
+    @given(large_knn_graphs(), st.data())
+    def test_matches_the_dense_eigenpairs(self, W, data):
+        """At every k that denoise_class solves by Lanczos, whether the
+        filtered solve answers or declines to the unfiltered one."""
+        m = W.shape[0]
+        dense = eigendecompose(normalized_laplacian(W.toarray()))
+        assume(np.count_nonzero(dense.eigenvalues < 1e-9) == 1)
+        k = data.draw(st.integers(2, m // LANCZOS_ROWS_PER_PAIR), label="k")
+        assert_matches_dense(lowest_eigenpairs(W, k), dense, k)
+
+    @pytest.mark.parametrize(
+        "m, d, k", [(560, 16, 35), (800, 32, 50), (1600, 128, 55), (1600, 128, 2)]
+    )
+    def test_certifies_fixed_gaussian_classes(self, m, d, k):
+        """On fixed Gaussian classes, the CI's 560 x 16 at k = 35, 800 x 32
+        at k = m/16, and classes of standard-large's size at k = 55 and
+        k = 2, the density
+        estimate's cut lies below the k-th eigenvalue: the filtered solve
+        answers, without the fallback, and agrees with the dense one."""
+        W = knn_graph_csr(np.random.default_rng(m + d).standard_normal((m, d)) + 0.3, 10)
+        dense = eigendecompose(normalized_laplacian(W.toarray()))
+        with filtered_solves() as solves:
+            basis = lowest_eigenpairs(W, k)
+        assert solves == [True]
+        assert_matches_dense(basis, dense, k)
+
+    @pytest.mark.parametrize("k, j", [(20, 19), (12, 6), (40, 2)])
+    def test_cut_above_the_kth_eigenvalue_takes_the_unfiltered_solve(self, monkeypatch, k, j):
+        """A density estimate that puts the cut between the j-th and the
+        (j+1)-th largest eigenvalue of the adjacency, j < k, leaves the
+        k-th without a certificate. The filtered run gives up at its first
+        restart, after one basis of steps, and the unfiltered solve finds
+        the k pairs."""
+        rng = np.random.default_rng(35)
+        W = knn_graph_csr(rng.standard_normal((800, 32)) + 0.3, 10)
+        dense = eigendecompose(normalized_laplacian(W.toarray()))
+        mu = 1.0 - dense.eigenvalues
+        assert mu[j - 1] - mu[j] > 1e-3, "test needs a gap to cut in"
+        cut, solve = spectral._spectral_cut, spectral._thick_restart_lanczos
+        solved = []
+
+        def high_cut(matvec, z, count):
+            c, top = cut(matvec, z, count)
+            assert c < mu[k - 1], "the estimate itself cuts below the k-th"
+            return (mu[j - 1] + mu[j]) / 2.0, top
+
+        def spy(matvec, n, pairs, **floor):
+            steps = []
+
+            def counted(X):
+                steps.append(len(X))
+                return matvec(X)
+
+            found = solve(counted, n, pairs, **floor)
+            solved.append((pairs, found is not None, len(steps)))
+            return found
+
+        monkeypatch.setattr(spectral, "_spectral_cut", high_cut)
+        monkeypatch.setattr(spectral, "_thick_restart_lanczos", spy)
+        basis = lowest_eigenpairs(W, k)
+        basis_rows = max(2 * (k - 1) + 1, 20 * spectral.LANCZOS_BLOCK)
+        first_pass = -(-basis_rows // spectral.LANCZOS_BLOCK)
+        assert [s[:2] for s in solved] == [(k - 1, False), (k, True)]
+        assert solved[0][2] == first_pass
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+        assert subspace_distance(dense.eigenvectors[:, :k], basis.eigenvectors) <= 1e-10
+
+    @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "unfiltered"])
+    @pytest.mark.parametrize("graph", [ring, path])
+    def test_ring_and_path_through_both_solves(self, monkeypatch, graph, filtered):
+        """The ring's rotations double all its eigenvalues but 1 and -1;
+        the path's are distinct. Both solves find the lowest, and every
+        eigenspace that they return whole, of the 200-vertex graph, whose
+        lowest eigenvalues are more than 1e-4 apart."""
+        W = graph(200)
+        dense = eigendecompose(normalized_laplacian(W))
+        distinct = np.unique(np.round(dense.eigenvalues, 8))
+        assert np.diff(distinct[:10]).min() > 1e-4
+        if not filtered:
+            monkeypatch.setattr(spectral, "_filtered_lanczos", lambda *args: None)
+        with filtered_solves() as solves:
+            for k in range(2, 13):
+                basis = lowest_eigenpairs(CsrGraph.from_dense(W), k)
+                lam, U = basis.eigenvalues, basis.eigenvectors
+                np.testing.assert_allclose(lam, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+                for value in lam:
+                    ours = np.abs(lam - value) < 1e-8
+                    theirs = np.abs(dense.eigenvalues - value) < 1e-8
+                    if ours.sum() == theirs.sum():
+                        assert subspace_distance(dense.eigenvectors[:, theirs], U[:, ours]) <= 1e-10
+        assert solves == [filtered] * 11
 
 
 class TestGftRoundTrip:
