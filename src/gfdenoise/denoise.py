@@ -6,8 +6,9 @@ form on the complete graph), and the filtered rows replace the originals.
 
 A class that takes the Lanczos path (see LANCZOS_MIN_ROWS) gets its kNN
 graph from graphs.knn_graph_csr, built a block of rows at a time into a
-sparse CsrGraph, so no m x m array is held. If Lanczos declines that graph,
-the same graph is solved by a full eigendecomposition: a class has one graph.
+sparse CsrGraph, so no m x m array is held, whether the graph is connected
+or not. If Lanczos does not converge on that graph, the same graph is solved
+by a full eigendecomposition: a class has one graph.
 
 Since a class never needs another class's rows, a file can be filtered a
 batch of whole classes at a time; batch_ends plans those batches.
@@ -122,10 +123,11 @@ def denoise_class(F_c: np.ndarray, cfg: DenoiseConfig) -> np.ndarray:
     the mean of the step gains 2..m, a row becomes the class mean plus g times
     its deviation from it. Large kNN graphs with few passed frequencies (see
     LANCZOS_MIN_ROWS) are built sparse and solved for only the eigenpairs the
-    filter passes, or fully when Lanczos declines them; every other kNN graph
-    is built dense and gets a full eigendecomposition. A row holding a NaN or
-    infinity raises NonFiniteValue on every path, naming the row (within its
-    block for a stack). A stack gives what its blocks give one at a time and
+    filter passes, connected or not, or fully when Lanczos does not
+    converge; every other kNN graph is built dense and gets a full
+    eigendecomposition. A row holding a NaN or infinity raises
+    NonFiniteValue on every path, naming the row (within its block for a
+    stack). A stack gives what its blocks give one at a time and
     raises exactly when some block would; the caller that knows the blocks
     locates the error.
     """

@@ -184,29 +184,44 @@ class TestSolverPaths:
         assert solver_calls == [("lowest_eigenpairs", True)]
         assert np.max(np.abs(out - expected)) <= 1e-9
 
-    @pytest.mark.parametrize("declined", ["disconnected", "unconverged"])
-    def test_declined_class_is_solved_on_its_own_graph(self, solver_calls, monkeypatch, declined):
-        """A class that Lanczos declines is solved densely on the CsrGraph
-        that Lanczos was given; no second graph is built."""
-        if declined == "disconnected":
-            # Two tight clusters along orthogonal directions: every row's 10
-            # nearest neighbors lie in its own cluster, so no edge crosses.
-            rng = np.random.default_rng(31)
-            F = 0.05 * rng.standard_normal((800, 16))
-            F[:400, 0] += 1.0
-            F[400:, 1] += 1.0
-        else:
-            # With no density estimate the filtered solve declines, and one
-            # pass of the unfiltered Lanczos with no restart leaves some of
-            # 40 pairs unconverged.
-            monkeypatch.setattr(gfdenoise.spectral, "_spectral_cut", lambda *args: None)
-            monkeypatch.setattr(gfdenoise.spectral, "LANCZOS_MAX_RESTARTS", 0)
-            F = gaussian_class(np.random.default_rng(33), 800, 8, mu=0.3)
+    def test_disconnected_class_is_solved_by_lanczos(self, solver_calls, monkeypatch):
+        """Two tight clusters along orthogonal directions: every row's 10
+        nearest neighbors lie in its own cluster, so no edge crosses, and
+        eigenvalue 0 is 2-fold. Lanczos solves the graph off its two known
+        null vectors, with no m x m array, and the cuts at 10 and 40 lie
+        outside that group, so the filter equals the dense one."""
+        rng = np.random.default_rng(31)
+        F = 0.05 * rng.standard_normal((800, 16))
+        F[:400, 0] += 1.0
+        F[400:, 1] += 1.0
+        W = graphs.knn_graph_csr(F, self.CFG.knn_k)
+        basis = eigendecompose(normalized_laplacian(W.toarray()))
+        assert np.count_nonzero(basis.eigenvalues < 1e-9) == 2
+        gains = step_response(self.CFG.k1, self.CFG.k2, self.CFG.mid_gain, len(F))
+        expected = apply_filter(basis, gains, F)
+        solver_calls.clear()
+
+        def forbidden(*args):
+            raise AssertionError("a class on the Lanczos route is solved sparse")
+
+        monkeypatch.setattr(gfdenoise.denoise, "class_graph", forbidden)
+        monkeypatch.setattr(graphs.CsrGraph, "toarray", forbidden)
+        out = denoise_class(F, self.CFG)
+        assert solver_calls == [("lowest_eigenpairs", True)]
+        assert np.max(np.abs(out - expected)) <= 1e-9
+
+    def test_unconverged_class_is_solved_on_its_own_graph(self, solver_calls, monkeypatch):
+        """A class on which Lanczos does not converge is solved densely on
+        the CsrGraph that Lanczos was given; no second graph is built. With
+        no density estimate there is no filtered run, and one pass of the
+        unfiltered run with no restart leaves some of 40 pairs unconverged."""
+        monkeypatch.setattr(gfdenoise.spectral, "_spectral_cut", lambda *args: None)
+        monkeypatch.setattr(gfdenoise.spectral, "LANCZOS_MAX_RESTARTS", 0)
+        F = gaussian_class(np.random.default_rng(33), 800, 8, mu=0.3)
         eff = self.CFG.for_class_size(len(F))
         basis = eigendecompose(normalized_laplacian(graphs.knn_graph_csr(F, eff.knn_k).toarray()))
         expected = apply_filter(basis, step_response(eff.k1, eff.k2, eff.mid_gain, len(F)), F)
-        components = np.count_nonzero(basis.eigenvalues < 1e-9)
-        assert components == (2 if declined == "disconnected" else 1)
+        assert np.count_nonzero(basis.eigenvalues < 1e-9) == 1
 
         def second_graph(*args):
             raise AssertionError("a class on the Lanczos route builds one graph")
@@ -268,6 +283,22 @@ class TestSolverPaths:
         assert solver_calls == [("lowest_eigenpairs", True)]
         # Measured 7.6 MiB; 10.9 MiB when _top_k ranked a whole graph
         # block at a time (m x m would be 30.5 MiB).
+        assert peak < 8 * 2**20
+
+    def test_two_mode_class_holds_no_m_by_m_array(self, solver_calls):
+        m = 2000
+        F = 0.05 * np.random.default_rng(35).standard_normal((m, 128))
+        F[: m // 2, 0] += 1.0
+        F[m // 2:, 1] += 1.0
+        tracemalloc.start()
+        try:
+            denoise_class(F, DenoiseConfig(knn_k=10, k1=20, k2=55))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver_calls == [("lowest_eigenpairs", True)]
+        # Measured 7.6 MiB, as on the connected class above; 122.7 MiB when
+        # such a class was solved by eigh of its graph's m x m toarray().
         assert peak < 8 * 2**20
 
 

@@ -153,11 +153,17 @@ class TestLowestEigenpairs:
         # Same sign convention, so simple eigenvectors agree as vectors.
         np.testing.assert_allclose(basis.eigenvectors, dense.eigenvectors[:, :7], atol=1e-8)
 
-    def test_disconnected_graph_is_declined(self):
+    def test_disconnected_graph_is_solved(self):
+        """Two 3-paths: eigenvalues 0, 1 and 2, each twice. k = 1, 2 are
+        the components' known vectors, k = 3..5 add Lanczos pairs, at k = 5
+        a copy of 2, the eigenvalue the unfiltered run's p(M) puts nearest
+        the deflated vectors."""
         W = np.zeros((6, 6))
         W[0, 1] = W[1, 0] = W[1, 2] = W[2, 1] = 1.0
         W[3, 4] = W[4, 3] = W[4, 5] = W[5, 4] = 1.0
-        assert lowest_eigenpairs(CsrGraph.from_dense(W), 2) is None
+        dense = eigendecompose(normalized_laplacian(W))
+        for k in range(1, 6):
+            assert_matches_dense(lowest_eigenpairs(CsrGraph.from_dense(W), k), dense, k)
 
     def test_invalid_k(self):
         with pytest.raises(InvalidRange):
@@ -182,7 +188,11 @@ class TestLowestEigenpairs:
             data=np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0]),
             shape=(4, 4),
         )
-        assert lowest_eigenpairs(W, 1) is None
+        for k in (1, 2):
+            basis = lowest_eigenpairs(W, k)
+            assert basis.eigenvalues.tolist() == [0.0] * k
+            expected = [[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]][:k]
+            np.testing.assert_allclose(basis.eigenvectors.T, np.sqrt(0.5) * np.array(expected))
         assert W.data.tolist() == [1.0, 1.0, 0.0, 0.0, 1.0, 1.0], "the caller's data is unchanged"
 
     def test_unsorted_csr_indices_are_rejected(self):
@@ -299,11 +309,11 @@ class TestLanczosAgainstDense:
 
     @pytest.mark.parametrize("graph", [ring, path])
     def test_invariant_basis_restarts_from_a_fresh_start_vector(self, monkeypatch, graph):
-        """On 41 vertices, the ring's and the path's Krylov spaces from two
-        start vectors become invariant before the basis fills, at every
-        k = 1..11: a third start vector is drawn, and the eigenpairs are
-        still the lowest. The filtered solve is switched off, so that
-        this tests the unfiltered one, which it falls back to."""
+        """On 41 vertices, too few for the filtered run, the unfiltered
+        run's Krylov spaces from two start vectors become invariant before
+        the basis fills, at every k = 2..11: a third start vector is drawn,
+        and the eigenpairs are still the lowest. At k = 1 the basis is the
+        known vector D^{1/2} 1, and no start vector is drawn."""
         W = graph(41)
         dense = eigendecompose(normalized_laplacian(W))
         drawn, start_vector = [], spectral._start_vector
@@ -312,9 +322,12 @@ class TestLanczosAgainstDense:
             drawn.append(seed)
             return start_vector(n, seed)
 
-        monkeypatch.setattr(spectral, "_filtered_lanczos", lambda *args: None)
         monkeypatch.setattr(spectral, "_start_vector", spy)
-        for k in range(1, 12):
+        basis = lowest_eigenpairs(CsrGraph.from_dense(W), 1)
+        z = np.sqrt(W.sum(axis=1))
+        assert drawn == [] and basis.eigenvalues.tolist() == [0.0]
+        np.testing.assert_allclose(basis.eigenvectors[:, 0], z / np.linalg.norm(z), atol=1e-15)
+        for k in range(2, 12):
             drawn.clear()
             basis = lowest_eigenpairs(CsrGraph.from_dense(W), k)
             assert basis is not None and len(drawn) >= 3, (k, drawn)
@@ -335,9 +348,12 @@ class TestLanczosAgainstDense:
                  min_size=1, max_size=4),
         st.integers(0, 2**32 - 1),
     )
-    def test_disconnected_graphs_are_declined(self, chain, others, seed):
+    def test_disconnected_graphs_match_the_dense_eigenpairs(self, chain, others, seed):
         """A long path, the most rounds of label propagation when its
-        vertices are shuffled, and 1 to 4 more components."""
+        vertices are shuffled, and 1 to 4 more components. Components can
+        share a nonzero eigenvalue, as rings of 36 and 72 vertices and a
+        7-path do 1/2, five times: more copies than LANCZOS_BLOCK start
+        vectors are sure to find, so such a graph is left out."""
         rng = np.random.default_rng(seed)
         blocks = [path(chain)]
         for kind, m in others:
@@ -355,7 +371,9 @@ class TestLanczosAgainstDense:
         order = rng.permutation(m)
         W = W[np.ix_(order, order)]
         k = int(rng.integers(1, m // 4 + 1))
-        assert lowest_eigenpairs(CsrGraph.from_dense(W), k) is None
+        dense = eigendecompose(normalized_laplacian(W))
+        assume(max_wanted_multiplicity(dense, k) <= spectral.LANCZOS_BLOCK)
+        assert_matches_dense(lowest_eigenpairs(CsrGraph.from_dense(W), k), dense, k)
 
 
 @st.composite
@@ -375,32 +393,61 @@ def large_knn_graphs(draw):
     return knn_graph_csr(F, draw(st.integers(5, 15), label="knn_k"))
 
 
+@st.composite
+def clustered_knn_graphs(draw):
+    """A cosine kNN graph of 2-5 tight Gaussian clusters along orthogonal
+    axes, so that no edge crosses between them: one of knn_k + 1 rows (a
+    complete graph) and the others of 30-600 rows, at most 2,000 in all."""
+    knn_k = draw(st.integers(5, 15), label="knn_k")
+    others = draw(st.lists(st.integers(30, 600), min_size=1, max_size=4), label="sizes")
+    sizes = [knn_k + 1] + others
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    F = 0.05 * rng.standard_normal((sum(sizes), 16))
+    F[np.arange(len(F)), np.repeat(np.arange(len(sizes)), sizes)] += 1.0
+    order = rng.permutation(len(F))
+    return knn_graph_csr(F[order], knn_k), len(sizes)
+
+
+def max_wanted_multiplicity(dense: SpectralBasis, k: int) -> int:
+    """How often the most repeated nonzero eigenvalue among the k lowest
+    occurs in the whole spectrum, to 1e-8; 0 when all k are 0."""
+    lam = dense.eigenvalues
+    return max((np.count_nonzero(np.abs(lam - value) < 1e-8) for value in lam[:k] if value > 1e-9),
+               default=0)
+
+
 def subspace_distance(U: np.ndarray, V: np.ndarray) -> float:
-    """The 2-norm of the difference of the projectors onto the column
-    spans of U and V, orthonormal and of equal width: the sine of their
-    largest principal angle."""
+    """The 2-norm of V's part off the column span of U, both orthonormal:
+    the sine of the largest principal angle between their spans when they
+    are of equal width, and 0 when V's span lies in U's."""
     return float(np.linalg.norm(V - U @ (U.T @ V), 2))
 
 
 @contextlib.contextmanager
-def filtered_solves():
-    """Whether each _filtered_lanczos call returned pairs, in call order."""
-    solves, filtered = [], spectral._filtered_lanczos
+def lanczos_runs():
+    """Each _thick_restart_lanczos run, in call order: "filtered" or
+    "unfiltered" (whose floor, p at its cut, is 0), and whether it
+    returned pairs."""
+    runs, solve = [], spectral._thick_restart_lanczos
 
-    def spy(*args):
-        found = filtered(*args)
-        solves.append(found is not None)
+    def spy(matvec, n, k, floor):
+        found = solve(matvec, n, k, floor)
+        runs.append(("filtered" if floor > 0.0 else "unfiltered", found is not None))
         return found
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_filtered_lanczos", spy)
-        yield solves
+        mp.setattr(spectral, "_thick_restart_lanczos", spy)
+        yield runs
 
 
 def assert_matches_dense(basis: SpectralBasis, dense: SpectralBasis, k: int) -> None:
-    """The k lowest eigenvalues agree to 1e-10, and so do the projectors
-    onto their eigenvectors where the gap at k exceeds 1e-4."""
+    """The k lowest eigenvalues agree to 1e-10; the columns of eigenvalue
+    0 lie in the dense null space, and so span it when they are as many;
+    and the projectors onto the k eigenvectors agree to 1e-10 where the
+    gap at k exceeds 1e-4."""
     np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+    null = dense.eigenvectors[:, dense.eigenvalues < 1e-9]
+    assert subspace_distance(null, basis.eigenvectors[:, basis.eigenvalues < 1e-9]) <= 1e-10
     if dense.eigenvalues[k] - dense.eigenvalues[k - 1] > 1e-4:
         assert subspace_distance(dense.eigenvectors[:, :k], basis.eigenvectors) <= 1e-10
 
@@ -410,11 +457,27 @@ class TestFilteredLanczos:
     @given(large_knn_graphs(), st.data())
     def test_matches_the_dense_eigenpairs(self, W, data):
         """At every k that denoise_class solves by Lanczos, whether the
-        filtered solve answers or declines to the unfiltered one."""
+        filtered run answers or declines to the unfiltered one."""
         m = W.shape[0]
         dense = eigendecompose(normalized_laplacian(W.toarray()))
-        assume(np.count_nonzero(dense.eigenvalues < 1e-9) == 1)
         k = data.draw(st.integers(2, m // LANCZOS_ROWS_PER_PAIR), label="k")
+        assert_matches_dense(lowest_eigenpairs(W, k), dense, k)
+
+    @settings(max_examples=8, deadline=None)
+    @given(clustered_knn_graphs(), st.data())
+    def test_clustered_classes_match_the_dense_eigenpairs(self, graph, data):
+        """A class of c = 2..5 clusters has one component each. At k <= c
+        the basis is the components' known vectors; above c, Lanczos finds
+        the rest, for as many pairs as denoise_class would ask."""
+        W, c = graph
+        dense = eigendecompose(normalized_laplacian(W.toarray()))
+        assert np.count_nonzero(dense.eigenvalues < 1e-9) == c
+        if data.draw(st.booleans(), label="k above c"):
+            top = max(c + 1, W.shape[0] // LANCZOS_ROWS_PER_PAIR)
+            k = data.draw(st.integers(c + 1, top), label="k")
+        else:
+            k = data.draw(st.integers(1, c), label="k")
+        assume(max_wanted_multiplicity(dense, k) <= spectral.LANCZOS_BLOCK)
         assert_matches_dense(lowest_eigenpairs(W, k), dense, k)
 
     @pytest.mark.parametrize(
@@ -428,9 +491,9 @@ class TestFilteredLanczos:
         answers, without the fallback, and agrees with the dense one."""
         W = knn_graph_csr(np.random.default_rng(m + d).standard_normal((m, d)) + 0.3, 10)
         dense = eigendecompose(normalized_laplacian(W.toarray()))
-        with filtered_solves() as solves:
+        with lanczos_runs() as runs:
             basis = lowest_eigenpairs(W, k)
-        assert solves == [True]
+        assert runs == [("filtered", True)]
         assert_matches_dense(basis, dense, k)
 
     @pytest.mark.parametrize("k, j", [(20, 19), (12, 6), (40, 2)])
@@ -453,15 +516,15 @@ class TestFilteredLanczos:
             assert c < mu[k - 1], "the estimate itself cuts below the k-th"
             return (mu[j - 1] + mu[j]) / 2.0, top
 
-        def spy(matvec, n, pairs, **floor):
+        def spy(matvec, n, pairs, floor):
             steps = []
 
             def counted(X):
                 steps.append(len(X))
                 return matvec(X)
 
-            found = solve(counted, n, pairs, **floor)
-            solved.append((pairs, found is not None, len(steps)))
+            found = solve(counted, n, pairs, floor)
+            solved.append((pairs, floor > 0.0, found is not None, len(steps)))
             return found
 
         monkeypatch.setattr(spectral, "_spectral_cut", high_cut)
@@ -469,8 +532,9 @@ class TestFilteredLanczos:
         basis = lowest_eigenpairs(W, k)
         basis_rows = max(2 * (k - 1) + 1, 20 * spectral.LANCZOS_BLOCK)
         first_pass = -(-basis_rows // spectral.LANCZOS_BLOCK)
-        assert [s[:2] for s in solved] == [(k - 1, False), (k, True)]
-        assert solved[0][2] == first_pass
+        # Both runs act on M projected off z, for the k - 1 pairs after it.
+        assert [s[:3] for s in solved] == [(k - 1, True, False), (k - 1, False, True)]
+        assert solved[0][3] == first_pass
         np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
         assert subspace_distance(dense.eigenvectors[:, :k], basis.eigenvectors) <= 1e-10
 
@@ -486,8 +550,8 @@ class TestFilteredLanczos:
         distinct = np.unique(np.round(dense.eigenvalues, 8))
         assert np.diff(distinct[:10]).min() > 1e-4
         if not filtered:
-            monkeypatch.setattr(spectral, "_filtered_lanczos", lambda *args: None)
-        with filtered_solves() as solves:
+            monkeypatch.setattr(spectral, "_spectral_cut", lambda *args: None)
+        with lanczos_runs() as runs:
             for k in range(2, 13):
                 basis = lowest_eigenpairs(CsrGraph.from_dense(W), k)
                 lam, U = basis.eigenvalues, basis.eigenvectors
@@ -497,7 +561,7 @@ class TestFilteredLanczos:
                     theirs = np.abs(dense.eigenvalues - value) < 1e-8
                     if ours.sum() == theirs.sum():
                         assert subspace_distance(dense.eigenvectors[:, theirs], U[:, ours]) <= 1e-10
-        assert solves == [filtered] * 11
+        assert runs == [("filtered" if filtered else "unfiltered", True)] * 11
 
 
 class TestGftRoundTrip:
