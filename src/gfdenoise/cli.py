@@ -195,8 +195,8 @@ def _cmd_eval_standard(cfg: RunConfig, out: str | None) -> dict:
 
 def _cmd_verify_theory(cfg: RunConfig, out: str | None) -> dict:
     """Monte Carlo centroid stats per theory.m_values entry, each from its
-    own seed. knn_k is clipped to m - 1 for each m; the echo shows it as set,
-    since the clipped value differs per m."""
+    own seed. denoise_class clips knn_k to m - 1 for each m; the echo shows
+    it as set, since the clipped value differs per m."""
     results = []
     for m, m_seed in zip(cfg.theory.m_values, per_m_seeds(cfg.seed, cfg.theory.m_values)):
         spec = centroids.GaussianClassSpec(
@@ -208,7 +208,7 @@ def _cmd_verify_theory(cfg: RunConfig, out: str | None) -> dict:
             k=cfg.theory.k,
             trials=cfg.iterations,
             seed=m_seed,
-            knn_k=cfg.denoise.for_class_size(m).knn_k,
+            knn_k=cfg.denoise.knn_k,
         )
         mean_factor, cov_factor = centroids.analytic_centroid_factors(m)
         raw_norm_sq = float(np.dot(raw.mean_est, raw.mean_est))

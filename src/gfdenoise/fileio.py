@@ -140,11 +140,12 @@ def _read_text(records, d: int | None = None, first_row: int = 0, n_hint: int = 
         if len(parts) != d:
             raise InconsistentDimension(lineno, f"line {lineno}: {len(parts)} values, expected {d}")
         if n == len(features):
-            features.resize((max(n + 1, n * 5 // 4), d))
+            # No view exists; refcheck would count a tracer's frame locals.
+            features.resize((max(n + 1, n * 5 // 4), d), refcheck=False)
         features[n] = row
         labels.append(label)
         linenos.append(lineno)
-    features.resize((len(labels), d))
+    features.resize((len(labels), d), refcheck=False)
     check_finite(features, first_row, linenos)
     return LabeledFeatures(features=features, labels=np.asarray(labels)), linenos
 

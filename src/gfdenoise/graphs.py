@@ -104,12 +104,6 @@ def knn_sparsify(S: np.ndarray, k: int) -> np.ndarray:
     """
     S = np.asarray(S, dtype=np.float64)
     _check_k(k, S.shape[-1])
-    # Keep everything, as _top_k would, without its mask and ranking copy
-    # (0.2 MB of fewshot's peak RSS).
-    if k == S.shape[-1] - 1:
-        W = S.copy()
-        set_diagonal(W, 0.0)
-        return W
     keep = _top_k(S, k, 0, np.empty_like(S))
     keep |= keep.swapaxes(-1, -2)
     return np.where(keep, S, 0.0)

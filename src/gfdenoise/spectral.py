@@ -179,18 +179,18 @@ def _deflated_lanczos(matvec, Z: np.ndarray, k: int) -> SpectralBasis | None:
     scaled to 1 at the estimated largest eigenvalue off Z, so that p(M)
     has about unit spectral radius, as _thick_restart_lanczos's test of
     convergence takes it to; _spectral_cut puts c below about k + CUT_MARGIN
-    eigenvalues (Zhou and Saad 2007). When that run fails, or on a graph
-    of fewer than k + CUT_MARGIN + DENSITY_STEPS vertices, p(x) =
-    (3 + x) / 4, 0 at c = -3, far below every eigenvalue. p(M) is 0 on Z's
-    rows, |p| <= p(c) on [-1, c] and p increases above c, so when the k-th
-    eigenvalue lies above c, no eigenvalue left out, nor Z's, has a larger
-    p than a wanted one. A run certifies that by giving up when its last
-    Ritz value is at most p(c), at any restart or at convergence: a
-    filtered run whose cut lies too high stops after one basis of steps.
+    eigenvalues (Zhou and Saad 2007). When _spectral_cut finds no cut, or
+    that run fails, p(x) = (3 + x) / 4, 0 at c = -3, far below every
+    eigenvalue. p(M) is 0 on Z's rows, |p| <= p(c) on [-1, c] and p
+    increases above c, so when the k-th eigenvalue lies above c, no
+    eigenvalue left out, nor Z's, has a larger p than a wanted one. A run
+    certifies that by giving up when its last Ritz value is at most p(c),
+    at any restart or at convergence: a filtered run whose cut lies too
+    high stops after one basis of steps.
     """
     n, pairs = Z.shape[1], k - len(Z)
     runs = []
-    if n >= k + CUT_MARGIN + DENSITY_STEPS and (cut := _spectral_cut(matvec, Z, k + CUT_MARGIN)):
+    if cut := _spectral_cut(matvec, Z, k + CUT_MARGIN):
         c, top = cut
         center, half = (c - 1.0) / 2.0, (c + 1.0) / 2.0
         # T_d(x) = cosh(d arccosh x) for x >= 1, and top lies above c.

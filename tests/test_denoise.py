@@ -713,6 +713,33 @@ class TestFilteringErrorsNameClassAndRow:
             IsolatedVertex, str(exc.value), 0, "o"
         )
 
+    @pytest.mark.parametrize("m, sparse", [(40, False), (600, True)])
+    def test_row_orthogonal_to_the_rest_is_isolated(self, monkeypatch, m, sparse):
+        """A row orthogonal to every other row of its class has only 0.0
+        similarities, which neither kNN graph builder keeps as an edge: on
+        the dense path its adjacency row is 0, and on the Lanczos path its
+        CSR row is empty. Both raise IsolatedVertex naming it."""
+        F = gaussian_class(np.random.default_rng(15), m, 3, mu=1.0)
+        F[:, 0] = 0.0
+        F[m // 3] = [1.0, 0.0, 0.0]
+        cfg, built = DenoiseConfig(), []
+
+        def spy(*args):
+            built.append(args[1])
+            return graphs.knn_graph_csr(*args)
+
+        monkeypatch.setattr(gfdenoise.denoise, "knn_graph_csr", spy)
+        with pytest.raises(IsolatedVertex) as exc:
+            denoise_class(F, cfg)
+        assert exc.value.index == m // 3 and built == ([cfg.knn_k] if sparse else [])
+        first = gaussian_class(np.random.default_rng(16), 9, 3, mu=1.0)
+        data = LabeledFeatures(np.vstack([first, F]), ["a"] * 9 + ["z"] * m)
+        with pytest.raises(IsolatedVertex) as exc:
+            denoise_dataset(data, cfg)
+        row = 9 + m // 3
+        assert str(exc.value) == f"class 'z', row {row}: vertex has zero degree"
+        assert (exc.value.index, exc.value.label) == (row, "z")
+
     def test_non_finite_row(self):
         data = self.data()
         data.features[6] = [1.0, np.nan, 2.0]

@@ -1,8 +1,10 @@
 """Feature file format and report round-trip tests."""
 
+import contextlib
 import json
 import os
 import struct
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -18,7 +20,8 @@ from hypothesis.extra import numpy as hnp
 from text_reference import load_text_per_line, save_text_per_value
 
 import gfdenoise.fileio
-from gfdenoise.data import LabeledFeatures
+from gfdenoise.cli import run_cli
+from gfdenoise.data import LabeledFeatures, make_gaussian_pool
 from gfdenoise.errors import (
     BadLabel,
     BadMagic,
@@ -74,6 +77,50 @@ def traced_load_binary(path):
         return outcome, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def no_op_tracer():
+    """A trace function that does nothing, installed as pdb or coverage
+    installs theirs: every frame's locals are then also held in a dict."""
+    def trace(frame, event, arg):
+        return trace
+
+    before = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(before)
+
+
+class TestUnderTracer:
+    """The text reader grows its array in place, which numpy refuses by
+    default while anything else references the array, a tracer's frame
+    locals included."""
+
+    def test_text_loads_as_untraced(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        data = random_dataset(np.random.default_rng(8), n=30, d=3)
+        save_features_text(path, data)
+        with no_op_tracer():
+            back = load_features_text(path)
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.labels.tolist() == list(data.labels)
+
+    def test_eval_standard_reads_text(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        save_features_text(path, make_gaussian_pool(n_classes=2, per_class=12, dim=4, seed=0))
+        reports = []
+        for name, context in (("untraced", contextlib.nullcontext()), ("traced", no_op_tracer())):
+            out = tmp_path / f"{name}.json"
+            with context:
+                code = run_cli(["eval-standard", "--in", str(path), "--out", str(out)])
+            assert code == 0, name
+            reports.append(json.loads(out.read_text()))
+        for report in reports:
+            report["config"]["io"].pop("output")
+        assert reports[0] == reports[1]
 
 
 class TestTextFormat:

@@ -308,29 +308,22 @@ class TestLanczosAgainstDense:
                 np.testing.assert_allclose(lam, [0.0, 2.0 / d][:k], rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("graph", [ring, path])
-    def test_invariant_basis_restarts_from_a_fresh_start_vector(self, monkeypatch, graph):
-        """On 41 vertices, too few for the filtered run, the unfiltered
-        run's Krylov spaces from two start vectors become invariant before
-        the basis fills, at every k = 2..11: a third start vector is drawn,
-        and the eigenpairs are still the lowest. At k = 1 the basis is the
-        known vector D^{1/2} 1, and no start vector is drawn."""
+    def test_small_graphs_take_the_unfiltered_solve(self, graph):
+        """On 41 vertices, the 40 density steps fill the complement of
+        D^{1/2} 1 or break down sooner, so _spectral_cut places no cut and
+        only the unfiltered run solves, at every k = 2..11, for the lowest
+        eigenpairs. At k = 1 the basis is the known vector, and nothing runs."""
         W = graph(41)
         dense = eigendecompose(normalized_laplacian(W))
-        drawn, start_vector = [], spectral._start_vector
-
-        def spy(n, seed):
-            drawn.append(seed)
-            return start_vector(n, seed)
-
-        monkeypatch.setattr(spectral, "_start_vector", spy)
-        basis = lowest_eigenpairs(CsrGraph.from_dense(W), 1)
+        with lanczos_runs() as runs:
+            basis = lowest_eigenpairs(CsrGraph.from_dense(W), 1)
         z = np.sqrt(W.sum(axis=1))
-        assert drawn == [] and basis.eigenvalues.tolist() == [0.0]
+        assert runs == [] and basis.eigenvalues.tolist() == [0.0]
         np.testing.assert_allclose(basis.eigenvectors[:, 0], z / np.linalg.norm(z), atol=1e-15)
         for k in range(2, 12):
-            drawn.clear()
-            basis = lowest_eigenpairs(CsrGraph.from_dense(W), k)
-            assert basis is not None and len(drawn) >= 3, (k, drawn)
+            with lanczos_runs() as runs:
+                basis = lowest_eigenpairs(CsrGraph.from_dense(W), k)
+            assert runs == [("unfiltered", True)], k
             lam, U = basis.eigenvalues, basis.eigenvectors
             np.testing.assert_allclose(lam, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
             # Each eigenspace returned whole has the dense solve's projector.
@@ -340,6 +333,28 @@ class TestLanczosAgainstDense:
                     P = U[:, ours] @ U[:, ours].T
                     Q = dense.eigenvectors[:, theirs] @ dense.eigenvectors[:, theirs].T
                     assert np.max(np.abs(P - Q)) <= 1e-10, (k, value)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_invariant_basis_restarts_from_a_fresh_start_vector(self, monkeypatch, k):
+        """With standard basis vectors for start vectors, every image of a
+        diagonal operator lies in the basis already: each row after the
+        first two comes from a fresh start vector, drawn in seed order until
+        the 30 rows span the whole space. The Ritz pairs are then the
+        operator's k largest, exactly."""
+        n = 30
+        diagonal = np.random.default_rng(k).permutation(np.linspace(-0.9, 0.9, n))
+        drawn = []
+
+        def basis_vector(size, seed):
+            drawn.append(seed)
+            return np.eye(size)[seed]
+
+        monkeypatch.setattr(spectral, "_start_vector", basis_vector)
+        theta, U = spectral._thick_restart_lanczos(lambda X: X * diagonal, n, k, -1.0)
+        assert drawn == list(range(n))
+        top = np.argsort(diagonal)[::-1][:k]
+        assert theta.tolist() == diagonal[top].tolist()
+        assert np.abs(U).tolist() == np.eye(n)[:, top].tolist()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -537,6 +552,36 @@ class TestFilteredLanczos:
         assert solved[0][3] == first_pass
         np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
         assert subspace_distance(dense.eigenvectors[:, :k], basis.eigenvectors) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_too_few_eigenvalues_to_cut_takes_the_unfiltered_solve(self, seed):
+        """A connected 80-vertex kNN graph has 79 eigenvalues off D^{1/2} 1,
+        fewer than the k + CUT_MARGIN = 85 that the cut must leave above it
+        at k = 25. The density steps do not break down, since the same steps
+        place a cut for a count of 39, but _spectral_cut declines, and only
+        the unfiltered run solves."""
+        W = knn_graph_csr(np.random.default_rng(seed).standard_normal((80, 8)), 5)
+        assert component_count(W.toarray()) == 1
+        k = 25
+        assert W.shape[0] - 1 < k + spectral.CUT_MARGIN
+        dense = eigendecompose(normalized_laplacian(W.toarray()))
+        cut, cuts = spectral._spectral_cut, []
+
+        def spy(matvec, z, count):
+            cuts.append((count, cut(matvec, z, count), cut(matvec, z, (W.shape[0] - 1) // 2)))
+            return cuts[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp, lanczos_runs() as runs:
+            mp.setattr(spectral, "_spectral_cut", spy)
+            basis = lowest_eigenpairs(W, k)
+        [(count, declined, half)] = cuts
+        assert count == k + spectral.CUT_MARGIN and declined is None and half is not None
+        assert runs == [("unfiltered", True)]
+        # The k + 1 lowest eigenvalues are simple, and the sign conventions
+        # agree, so the eigenvectors agree as vectors.
+        assert np.diff(dense.eigenvalues[:k + 1]).min() > 1e-3
+        np.testing.assert_allclose(basis.eigenvalues, dense.eigenvalues[:k], rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(basis.eigenvectors, dense.eigenvectors[:, :k], rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("filtered", [True, False], ids=["filtered", "unfiltered"])
     @pytest.mark.parametrize("graph", [ring, path])
